@@ -10,20 +10,19 @@ redundancy bound, including the one-shot lossy Gray-Wyner extension.
 from .bitcodes import (BitString, decode_delta, decode_plain, delta_code_length,
                        delta_length_calculus, encode_delta, encode_plain,
                        plain_code_length)
-from .codebook import (CodebookStream, MarkedPoint, arrival_stream,
-                       derive_subseed, next_marked_point)
+from .codebook import CodebookStream, MarkedPoint, arrival_stream, derive_subseed
 from .errors import (AbsoluteContinuityViolated, DegenerateTarget,
                      MalformedCodeword, NotConverged, PfrlabError,
                      TargetOutOfRange, UnsupportedEta, UnsupportedOutput,
                      UnsupportedPoint)
 from .gray_wyner import (GwModel, GwResult, GwTrialRecord, ResortedStream,
                          gw_decode, gw_dominance_params, gw_encode,
-                         gw_records_to_csv, gw_run_trials, resorted_stream)
+                         gw_records_to_csv, gw_run_trials, resort_tables)
 from .pfr import (PfrResult, dominance_parameter, expected_log_k_bound,
                   geometric_parameter_exact, pfr_select)
 from .prob import (DistortionMatrix, FinitePmf, Kernel, RngState, Seed,
                    SymbolId, entropy, information_density, kl_divergence,
-                   mutual_information, sample_pmf, sample_pmf_many, tv_distance)
+                   mutual_information, sample_pmf)
 from .rd import RdSolution, ba_fixed_slope, solve_at_distortion, tilted_information
 from .redundancy import (CODE_KINDS, ETA_KINDS, TailEstimate, TrialRecord,
                          TrialSummary, bound_rhs, estimate_tail, records_to_csv,
@@ -45,7 +44,7 @@ __all__ = [
     "expected_log_k_bound", "geometric_parameter_exact", "gw_decode",
     "gw_dominance_params", "gw_encode", "gw_records_to_csv", "gw_run_trials",
     "information_density", "kl_divergence", "mutual_information",
-    "next_marked_point", "pfr_select", "plain_code_length", "records_to_csv",
-    "resorted_stream", "run_trials", "sample_pmf", "sample_pmf_many",
-    "solve_at_distortion", "summary_stats", "tilted_information", "tv_distance",
+    "pfr_select", "plain_code_length", "records_to_csv", "resort_tables",
+    "run_trials", "sample_pmf", "solve_at_distortion", "summary_stats",
+    "tilted_information",
 ]

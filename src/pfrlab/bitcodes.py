@@ -40,22 +40,6 @@ class BitString:
     def __iter__(self):
         return (int(c) for c in self.bits)
 
-    def to_record(self) -> tuple:
-        """(length_bits, hex payload) with the bits zero-padded to full bytes."""
-        n = len(self.bits)
-        if n == 0:
-            return 0, ""
-        padded = self.bits + "0" * (-n % 8)
-        return n, int(padded, 2).to_bytes(len(padded) // 8, "big").hex()
-
-    @classmethod
-    def from_record(cls, length_bits: int, payload_hex: str) -> "BitString":
-        if length_bits == 0:
-            return cls("")
-        raw = bytes.fromhex(payload_hex)
-        allbits = bin(int.from_bytes(raw, "big"))[2:].zfill(8 * len(raw))
-        return cls(allbits[:length_bits])
-
 
 def encode_plain(k: int) -> BitString:
     """Binary representation of k >= 1 without the leading digit."""

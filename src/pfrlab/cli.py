@@ -8,7 +8,8 @@ deterministic functions of (config, seed).
 Exit codes:
     0  success, all requested checks pass
     1  a requested check failed (a bound or law violated empirically)
-    2  config parse/validation failure
+    2  config, flag or PFRLAB_THREADS parse/validation failure, including
+       a target_D below the minimum achievable distortion
     3  solver non-convergence
     4  gray-wyner round-trip mismatch (internal invariant breach)
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import arrival_stream, derive_subseed
-from .errors import NotConverged, PfrlabError
+from .errors import NotConverged, PfrlabError, TargetOutOfRange
 from .gray_wyner import GwModel, gw_decode, gw_records_to_csv, gw_run_trials
 from .pfr import dominance_parameter, geometric_parameter_exact, pfr_select
 from .prob import DistortionMatrix, FinitePmf, Kernel, Seed, kl_divergence
@@ -63,18 +64,16 @@ def _matrix(v, field: str) -> np.ndarray:
     return np.stack(rows)
 
 
+def _build(cls, field: str, *args, **kwargs):
+    """cls(*args, **kwargs), reporting its ValueError as a ConfigError in field."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(field, str(e)) from None
+
+
 def _pmf(v, field: str) -> FinitePmf:
-    try:
-        return FinitePmf(_vector(v, field))
-    except ValueError as e:
-        raise ConfigError(field, str(e)) from None
-
-
-def _kernel(v, field: str) -> Kernel:
-    try:
-        return Kernel(_matrix(v, field))
-    except ValueError as e:
-        raise ConfigError(field, str(e)) from None
+    return _build(FinitePmf, field, _vector(v, field))
 
 
 @dataclass
@@ -116,21 +115,17 @@ def load_config(path: str, mode: str, trials_override=None,
     if cfg_mode is not None and cfg_mode != mode:
         raise ConfigError("mode", f"config says {cfg_mode!r} but subcommand is {mode!r}")
 
+    overrides = {"trials": trials_override, "seed": seed_override}
+    raw.update((k, v) for k, v in overrides.items() if v is not None)
     for field in _REQUIRED[mode]:
-        if field == "trials" and trials_override is not None:
-            continue
-        if field == "seed" and seed_override is not None:
-            continue
         if field not in raw:
             raise ConfigError(field, "required for this mode but missing")
 
     source = _pmf(raw["source"], "source") if "source" in raw else None
     distortion = None
     if "distortion" in raw:
-        try:
-            distortion = DistortionMatrix(_matrix(raw["distortion"], "distortion"))
-        except ValueError as e:
-            raise ConfigError("distortion", str(e)) from None
+        distortion = _build(DistortionMatrix, "distortion",
+                            _matrix(raw["distortion"], "distortion"))
     if source is not None and distortion is not None:
         if distortion.shape[0] != len(source):
             raise ConfigError("distortion",
@@ -139,20 +134,14 @@ def load_config(path: str, mode: str, trials_override=None,
 
     target_d = _number(raw["target_D"], "target_D") if "target_D" in raw else None
 
-    trials = trials_override
-    if trials is None and "trials" in raw:
-        trials = raw["trials"]
+    trials = raw.get("trials")
     if trials is not None:
         if not isinstance(trials, int) or trials < 1:
             raise ConfigError("trials", f"must be an integer >= 1, got {trials!r}")
 
     seed = None
-    seed_raw = seed_override if seed_override is not None else raw.get("seed")
-    if seed_raw is not None:
-        try:
-            seed = Seed.from_hex(str(seed_raw))
-        except ValueError as e:
-            raise ConfigError("seed", str(e)) from None
+    if raw.get("seed") is not None:
+        seed = _build(Seed.from_hex, "seed", str(raw["seed"]))
 
     gamma_grid = None
     if "gamma_grid" in raw:
@@ -179,23 +168,23 @@ def load_config(path: str, mode: str, trials_override=None,
             pfr_proposal = FinitePmf.uniform(len(pfr_target))
         if len(pfr_proposal) != len(pfr_target):
             raise ConfigError("pfr.proposal", "alphabet differs from pfr.target")
+        if np.any((pfr_target.probs > 0) & (pfr_proposal.probs == 0)):
+            raise ConfigError("pfr.proposal", "must be positive wherever pfr.target is")
 
     gw_model = None
     if "gray_wyner" in raw:
         blk = raw["gray_wyner"]
         if not isinstance(blk, dict):
             raise ConfigError("gray_wyner", "expected an object")
-        for key in ("joint_source", "u_kernel", "y1_kernel", "y2_kernel"):
+        keys = ("joint_source", "u_kernel", "y1_kernel", "y2_kernel")
+        for key in keys:
             if key not in blk:
                 raise ConfigError(f"gray_wyner.{key}", "missing")
-        try:
-            gw_model = GwModel(
-                joint_source=_matrix(blk["joint_source"], "gray_wyner.joint_source"),
-                u_kernel=_kernel(blk["u_kernel"], "gray_wyner.u_kernel"),
-                y1_kernel=_kernel(blk["y1_kernel"], "gray_wyner.y1_kernel"),
-                y2_kernel=_kernel(blk["y2_kernel"], "gray_wyner.y2_kernel"))
-        except ValueError as e:
-            raise ConfigError("gray_wyner", str(e)) from None
+        mats = {key: _matrix(blk[key], f"gray_wyner.{key}") for key in keys}
+        kernels = {key: _build(Kernel, f"gray_wyner.{key}", mats[key])
+                   for key in keys[1:]}
+        gw_model = _build(GwModel, "gray_wyner", joint_source=mats["joint_source"],
+                          **kernels)
 
     return ExperimentConfig(mode=mode, source=source, distortion=distortion,
                             target_D=target_d, trials=trials, seed=seed,
@@ -207,13 +196,10 @@ def _g(v: float) -> str:
     return format(float(v), ".9g")
 
 
-def _write(out_dir: str, name: str, lines) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
+def _write(out_dir: str, name: str, lines) -> None:
+    with open(os.path.join(out_dir, name), "w") as fh:
         for line in lines:
             fh.write(line + "\n")
-    return path
 
 
 def cmd_rd_curve(cfg: ExperimentConfig, out_dir: str) -> int:
@@ -249,12 +235,16 @@ def cmd_rd_curve(cfg: ExperimentConfig, out_dir: str) -> int:
 def cmd_verify_pfr(cfg: ExperimentConfig, out_dir: str) -> int:
     target, proposal, seed, n = (cfg.pfr_target, cfg.pfr_proposal, cfg.seed,
                                  cfg.trials)
+
+    def select(t, **kwargs):
+        stream = arrival_stream(derive_subseed(seed, t, "codebook"), "codebook",
+                                proposal)
+        return pfr_select(target, proposal, stream, **kwargs)
+
     ks = np.empty(n, dtype=np.int64)
     ys = np.empty(n, dtype=np.int64)
     for t in range(n):
-        stream = arrival_stream(derive_subseed(seed, t, "codebook"), "codebook",
-                                proposal)
-        res = pfr_select(target, proposal, stream)
+        res = select(t)
         ks[t], ys[t] = res.k, res.y
     m = len(target)
     checks = []
@@ -292,18 +282,13 @@ def cmd_verify_pfr(cfg: ExperimentConfig, out_dir: str) -> int:
     stat = float(logk.mean()) + 3.0 * float(logk.std(ddof=1) / math.sqrt(n))
     checks.append(("mean_log2_k_plus_3se", stat, bound, stat <= bound))
 
-    res0 = pfr_select(target, proposal,
-                      arrival_stream(derive_subseed(seed, 0, "codebook"),
-                                     "codebook", proposal))
+    res0 = select(0)
     same = res0.k == int(ks[0]) and res0.y == int(ys[0])
     checks.append(("replay_determinism", float(same), 1.0, same))
 
     stable = True
     for t in range(min(n, 1000)):
-        res = pfr_select(target, proposal,
-                         arrival_stream(derive_subseed(seed, t, "codebook"),
-                                        "codebook", proposal),
-                         horizon_scale=2.0)
+        res = select(t, horizon_scale=2.0)
         stable &= res.k == int(ks[t]) and res.y == int(ys[t])
     checks.append(("stopping_rule_horizon_x2", float(stable), 1.0, stable))
 
@@ -315,10 +300,13 @@ def cmd_verify_pfr(cfg: ExperimentConfig, out_dir: str) -> int:
 
 
 def cmd_redundancy_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
-    sol = solve_at_distortion(cfg.source, cfg.distortion, cfg.target_D)
+    try:
+        sol = solve_at_distortion(cfg.source, cfg.distortion, cfg.target_D)
+    except TargetOutOfRange as e:
+        raise ConfigError("target_D", str(e)) from None
     records = run_trials(sol, cfg.source, cfg.distortion, cfg.trials, cfg.seed,
                          threads=threads)
-    with open(os.path.join(_ensure(out_dir), "trials.csv"), "w") as fh:
+    with open(os.path.join(out_dir, "trials.csv"), "w") as fh:
         records_to_csv(records, fh)
     lines = ["eta_kind,code_kind,gamma,p_hat,std_err,bound_rhs"]
     ok = True
@@ -343,18 +331,16 @@ def cmd_gray_wyner(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
             print(f"round-trip mismatch at trial {r.trial}: {dec} != "
                   f"({r.u},{r.y1},{r.y2})", file=sys.stderr)
             return 4
-    with open(os.path.join(_ensure(out_dir), "gw_trials.csv"), "w") as fh:
+    with open(os.path.join(out_dir, "gw_trials.csv"), "w") as fh:
         gw_records_to_csv(records, fh)
 
-    bounds = [("mean_log2_k0", np.log2([r.k0 for r in records]),
-               model.mi_u_sources + 1.0),
-              ("mean_log2_k1", np.log2([r.k1 for r in records]),
-               model.mi_y_source_given_u(1) + 1.0),
-              ("mean_log2_k2", np.log2([r.k2 for r in records]),
-               model.mi_y_source_given_u(2) + 1.0)]
+    infos = (model.mi_u_sources, model.mi_y_source_given_u(1),
+             model.mi_y_source_given_u(2))
     lines = ["quantity,value,bound,passed"]
     ok = True
-    for name, vals, bound in bounds:
+    for i, info in enumerate(infos):
+        name, bound = f"mean_log2_k{i}", info + 1.0
+        vals = np.log2([getattr(r, f"k{i}") for r in records])
         stat = float(np.mean(vals))
         if len(vals) > 1:
             stat += 3.0 * float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
@@ -363,11 +349,6 @@ def cmd_gray_wyner(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
         lines.append(f"{name}_plus_3se,{_g(stat)},{_g(bound)},{str(passed).lower()}")
     _write(out_dir, "gw_summary.csv", lines)
     return 0 if ok else 1
-
-
-def _ensure(out_dir: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to JSON config")
         p.add_argument("--out", default=".", help="output directory for CSVs")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: PFRLAB_THREADS or 1)")
+                       help="worker threads, at most one per CPU "
+                            "(default: PFRLAB_THREADS or 1)")
         p.add_argument("--trials", type=int, default=None,
                        help="override config trial count")
         p.add_argument("--seed", default=None,
@@ -389,18 +371,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _threads(flag) -> int:
+    """--threads, else PFRLAB_THREADS, else 1; must be an integer >= 1."""
+    field, raw = ("--threads", flag) if flag is not None else (
+        "PFRLAB_THREADS", os.environ.get("PFRLAB_THREADS", "1"))
+    threads = _build(int, field, raw)
+    if threads < 1:
+        raise ConfigError(field, f"must be >= 1, got {threads}")
+    return threads
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("PFRLAB_THREADS", "1"))
     try:
+        threads = _threads(args.threads)
         cfg = load_config(args.config, args.command, trials_override=args.trials,
                           seed_override=args.seed)
-    except ConfigError as e:
-        print(str(e), file=sys.stderr)
-        return 2
-    try:
+        os.makedirs(args.out, exist_ok=True)
         if args.command == "rd-curve":
             return cmd_rd_curve(cfg, args.out)
         if args.command == "verify-pfr":
@@ -408,6 +395,9 @@ def main(argv=None) -> int:
         if args.command == "redundancy-sweep":
             return cmd_redundancy_sweep(cfg, args.out, threads)
         return cmd_gray_wyner(cfg, args.out, threads)
+    except ConfigError as e:
+        print(str(e), file=sys.stderr)
+        return 2
     except NotConverged as e:
         print(f"solver did not converge: {e}", file=sys.stderr)
         return 3

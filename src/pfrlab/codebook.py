@@ -77,12 +77,22 @@ class CodebookStream:
         self.cursor += 1
         return MarkedPoint(self.cursor, int(self._marks[i]), float(self._times[i]))
 
+    def __iter__(self):
+        """(index, mark, time) triples from the refill buffer, in arrival order.
+
+        The cursor advances before each yield, so a caller that stops
+        iterating leaves the stream on the last point it was given.
+        """
+        while True:
+            if self._pos >= self._times.size:
+                self._refill()
+            i = self._pos
+            for mark, t in zip(self._marks[i:].tolist(), self._times[i:].tolist()):
+                self._pos += 1
+                self.cursor += 1
+                yield self.cursor, mark, t
+
 
 def arrival_stream(seed: Seed, label: str, mark_law: FinitePmf) -> CodebookStream:
     """Fresh stream on the labeled substream of seed; replay-exact."""
     return CodebookStream(seed, label, mark_law)
-
-
-def next_marked_point(stream) -> MarkedPoint:
-    """Functional alias for ``stream.next_marked_point()``."""
-    return stream.next_marked_point()

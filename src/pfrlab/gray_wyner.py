@@ -14,7 +14,6 @@ the identical selections, so decoding is exact.
 
 import heapq
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,6 +23,7 @@ from .codebook import CodebookStream, MarkedPoint, arrival_stream, derive_subsee
 from .errors import UnsupportedPoint
 from .pfr import pfr_select
 from .prob import FinitePmf, Kernel, Seed, SymbolId, kl_divergence, sample_pmf
+from .redundancy import run_spans
 
 GW_CSV_HEADER = "trial,x1,x2,u,y1,y2,k0,k1,k2,len0,len1,len2"
 
@@ -78,22 +78,8 @@ class GwModel:
     def _u_rows(self) -> tuple:
         return tuple(self.u_kernel.row(i) for i in range(self.u_kernel.shape[0]))
 
-    @cached_property
-    def _y1_rows(self) -> tuple:
-        return tuple(self.y1_kernel.row(i) for i in range(self.y1_kernel.shape[0]))
-
-    @cached_property
-    def _y2_rows(self) -> tuple:
-        return tuple(self.y2_kernel.row(i) for i in range(self.y2_kernel.shape[0]))
-
     def u_target(self, x1: SymbolId, x2: SymbolId) -> FinitePmf:
         return self._u_rows[x1 * self.n2 + x2]
-
-    def y1_target(self, x1: SymbolId, u: SymbolId) -> FinitePmf:
-        return self._y1_rows[x1 * self.nu + u]
-
-    def y2_target(self, x2: SymbolId, u: SymbolId) -> FinitePmf:
-        return self._y2_rows[x2 * self.nu + u]
 
     @cached_property
     def source_pmf(self) -> FinitePmf:
@@ -104,101 +90,12 @@ class GwModel:
         return self.u_kernel.output_marginal(self.source_pmf)
 
     @cached_property
-    def p_x1_u(self) -> np.ndarray:
-        """Joint law of (x1, u) as an (n1, nu) matrix."""
+    def sides(self) -> tuple:
+        """(decoder 1, decoder 2) as GwSide objects, built once per model."""
         w = self.joint_source.reshape(-1)[:, None] * self.u_kernel.rows
-        return w.reshape(self.n1, self.n2, self.nu).sum(axis=1)
-
-    @cached_property
-    def p_x2_u(self) -> np.ndarray:
-        w = self.joint_source.reshape(-1)[:, None] * self.u_kernel.rows
-        return w.reshape(self.n1, self.n2, self.nu).sum(axis=0)
-
-    def _side(self, which: int):
-        if which == 1:
-            return self.p_x1_u, self.y1_kernel, self.n1
-        return self.p_x2_u, self.y2_kernel, self.n2
-
-    def _p_y_and_cond(self, which: int):
-        p_xu, yk, nx = self._side(which)
-        nu = self.nu
-        ny = yk.shape[1]
-        joint_uy = np.zeros((nu, ny))
-        for x in range(nx):
-            for u in range(nu):
-                joint_uy[u] += p_xu[x, u] * yk.rows[x * nu + u]
-        cond = np.empty((nu, ny))
-        for u in range(nu):
-            s = joint_uy[u].sum()
-            if s > 0:
-                cond[u] = joint_uy[u] / s
-            else:
-                cond[u] = 1.0 / ny  # unreachable u; placeholder row
-        return FinitePmf(joint_uy.sum(axis=0)), cond
-
-    @cached_property
-    def p_y1(self) -> FinitePmf:
-        return self._p_y_and_cond(1)[0]
-
-    @cached_property
-    def p_y2(self) -> FinitePmf:
-        return self._p_y_and_cond(2)[0]
-
-    @cached_property
-    def p_y1_given_u(self) -> np.ndarray:
-        return self._p_y_and_cond(1)[1]
-
-    @cached_property
-    def p_y2_given_u(self) -> np.ndarray:
-        return self._p_y_and_cond(2)[1]
-
-    def _iota_u_y(self, which: int) -> np.ndarray:
-        p_y = (self.p_y1 if which == 1 else self.p_y2).probs
-        cond = self.p_y1_given_u if which == 1 else self.p_y2_given_u
-        with np.errstate(divide="ignore"):
-            return np.where(cond > 0.0,
-                            np.log2(np.divide(cond, p_y[None, :],
-                                              out=np.ones_like(cond),
-                                              where=p_y > 0)),
-                            -np.inf)
-
-    @cached_property
-    def iota_u_y1(self) -> np.ndarray:
-        """iota(u; y1) table, (nu, ny1); drives the stage-1 time rescaling."""
-        return self._iota_u_y(1)
-
-    @cached_property
-    def iota_u_y2(self) -> np.ndarray:
-        return self._iota_u_y(2)
-
-    @cached_property
-    def cond_y1_pmfs(self) -> tuple:
-        return tuple(FinitePmf(row) for row in self.p_y1_given_u)
-
-    @cached_property
-    def cond_y2_pmfs(self) -> tuple:
-        return tuple(FinitePmf(row) for row in self.p_y2_given_u)
-
-    def _resort_data(self, which: int) -> tuple:
-        """Per-u (scale row, release ratio, conditional mark law) for the re-sort."""
-        base_law = self.p_y1 if which == 1 else self.p_y2
-        tab = self.iota_u_y1 if which == 1 else self.iota_u_y2
-        cond = self.cond_y1_pmfs if which == 1 else self.cond_y2_pmfs
-        drawable = base_law.probs > 0
-        out = []
-        for u in range(self.nu):
-            row = tab[u]
-            out.append((np.exp2(-row), float(np.exp2(row[drawable]).max()),
-                        cond[u]))
-        return tuple(out)
-
-    @cached_property
-    def _resort_y1(self) -> tuple:
-        return self._resort_data(1)
-
-    @cached_property
-    def _resort_y2(self) -> tuple:
-        return self._resort_data(2)
+        w = w.reshape(self.n1, self.n2, self.nu)
+        return (GwSide(w.sum(axis=1), self.y1_kernel, "gw-y1"),
+                GwSide(w.sum(axis=0), self.y2_kernel, "gw-y2"))
 
     @cached_property
     def mi_u_sources(self) -> float:
@@ -211,27 +108,21 @@ class GwModel:
 
     def mi_y_source_given_u(self, which: int) -> float:
         """I(Y_i; X_i | U) in bits."""
-        p_xu, yk, nx = self._side(which)
-        cond = self.p_y1_given_u if which == 1 else self.p_y2_given_u
-        nu = self.nu
+        side = self.sides[which - 1]
         total = 0.0
-        for u in range(nu):
-            cond_pmf = FinitePmf(cond[u])
-            for x in range(nx):
-                w = p_xu[x, u]
+        for u, cond_pmf in enumerate(side.cond_pmfs):
+            for x in range(side.p_x_u.shape[0]):
+                w = side.p_x_u[x, u]
                 if w > 0:
-                    total += w * kl_divergence(yk.row(x * nu + u), cond_pmf)
+                    total += w * kl_divergence(side.target(x, u), cond_pmf)
         return total
 
     def conditional_triple_law(self, x1: SymbolId, x2: SymbolId) -> np.ndarray:
         """Law of (u, y1, y2) given the source pair, as a (nu, ny1, ny2) array."""
-        nu = self.nu
-        pu = self.u_kernel.rows[x1 * self.n2 + x2]
-        out = np.zeros((nu, self.y1_kernel.shape[1], self.y2_kernel.shape[1]))
-        for u in range(nu):
-            out[u] = pu[u] * np.outer(self.y1_kernel.rows[x1 * nu + u],
-                                      self.y2_kernel.rows[x2 * nu + u])
-        return out
+        pu = self.u_target(x1, x2).probs
+        s1, s2 = self.sides
+        return np.stack([pu[u] * np.outer(s1.target(x1, u).probs, s2.target(x2, u).probs)
+                         for u in range(self.nu)])
 
 
 @dataclass(frozen=True)
@@ -244,37 +135,29 @@ class GwResult:
     y2: SymbolId
 
 
+def resort_tables(base_law: FinitePmf, iota_row) -> tuple:
+    """Re-sort tables for one u: the scale row 2^{-iota(u; .)}, as a list, and
+    the release ratio r = max over drawable marks of 2^{iota(u; mark)}."""
+    row = np.asarray(iota_row, dtype=np.float64)
+    drawable = base_law.probs > 0
+    if np.any(np.isposinf(row[drawable])):
+        raise ValueError("iota(u; mark) must be < +inf for drawable marks")
+    return np.exp2(-row).tolist(), float(np.exp2(row[drawable]).max())
+
+
 class ResortedStream:
     """Base-stream points with times rescaled by 2^{-iota(u; mark)}, re-indexed ascending.
 
-    A transformed point is released only once the raw-time frontier exceeds
-    (its transformed time) * r, where r = max_mark 2^{iota(u; mark)}: no raw
+    scale and r come from :func:`resort_tables`; mark_law is the conditional
+    law of the emitted marks given u.  A transformed point is released only
+    once the raw-time frontier exceeds (its transformed time) * r: no raw
     point generated later can map below it, so the emitted order is exact.
     Marks with iota = -inf map to infinite times and are never released.
     """
 
-    def __init__(self, base: CodebookStream, u: SymbolId, iota_table):
-        tab = np.asarray(iota_table, dtype=np.float64)
-        if tab.ndim != 2:
-            raise ValueError("iota_table must be 2-D, indexed by (u, mark)")
-        row = tab[u]
-        drawable = base.mark_law.probs > 0
-        if np.any(np.isposinf(row[drawable])):
-            raise ValueError("iota(u; mark) must be < +inf for drawable marks")
-        with np.errstate(invalid="ignore"):
-            intensity = np.where(drawable, base.mark_law.probs * np.exp2(row), 0.0)
-        self._setup(base, u, np.exp2(-row), float(np.exp2(row[drawable]).max()),
-                    FinitePmf(intensity / intensity.sum()))
-
-    @classmethod
-    def _from_tables(cls, base, u, scale, r, mark_law) -> "ResortedStream":
-        obj = cls.__new__(cls)
-        obj._setup(base, u, scale, r, mark_law)
-        return obj
-
-    def _setup(self, base, u, scale, r, mark_law):
+    def __init__(self, base: CodebookStream, scale: list, r: float,
+                 mark_law: FinitePmf):
         self.base = base
-        self.u = u
         self._scale = scale
         self._r = r
         self.mark_law = mark_law
@@ -292,7 +175,7 @@ class ResortedStream:
         while not heap or heap[0][0] > frontier / r:
             _, mark, t = advance()
             frontier = t
-            t_new = t * float(scale[mark])
+            t_new = t * scale[mark]
             if math.isfinite(t_new):
                 self._seq += 1
                 heapq.heappush(heap, (t_new, self._seq, mark))
@@ -301,19 +184,57 @@ class ResortedStream:
         self.cursor += 1
         return MarkedPoint(self.cursor, mark, t_new)
 
+    def __iter__(self):
+        while True:
+            yield self.next_marked_point()
 
-def resorted_stream(base: CodebookStream, u: SymbolId, iota_table) -> ResortedStream:
-    """Stream of {(mark_i, T_i * 2^{-iota(u; mark_i)})} in ascending transformed time."""
-    return ResortedStream(base, u, iota_table)
 
+class GwSide:
+    """One decoder side: the (x_i, u) -> y_i channel and every law derived from it.
 
-def _resorted_for(model: GwModel, which: int, u: SymbolId,
-                  seed: Seed) -> ResortedStream:
-    label = f"gw-y{which}"
-    base_law = model.p_y1 if which == 1 else model.p_y2
-    scale, r, mark_law = (model._resort_y1 if which == 1 else model._resort_y2)[u]
-    return ResortedStream._from_tables(arrival_stream(seed, label, base_law),
-                                       u, scale, r, mark_law)
+    kernel rows are indexed by x_i * nu + u and p_x_u is the joint law of
+    (x_i, u).  Holds p_y, p(y | u) with its pmfs, the iota(u; y) table that
+    drives the time rescaling, and the re-sort tables for each u.
+    """
+
+    def __init__(self, p_x_u: np.ndarray, kernel: Kernel, label: str):
+        nx, nu = p_x_u.shape
+        ny = kernel.shape[1]
+        self.p_x_u = p_x_u
+        self.nu = nu
+        self.label = label
+        self.rows = tuple(kernel.row(i) for i in range(kernel.shape[0]))
+        joint_uy = np.zeros((nu, ny))
+        for x in range(nx):
+            for u in range(nu):
+                joint_uy[u] += p_x_u[x, u] * kernel.rows[x * nu + u]
+        cond = np.empty((nu, ny))
+        for u in range(nu):
+            s = joint_uy[u].sum()
+            if s > 0:
+                cond[u] = joint_uy[u] / s
+            else:
+                cond[u] = 1.0 / ny  # unreachable u; placeholder row
+        self.p_y = FinitePmf(joint_uy.sum(axis=0))
+        self.p_y_given_u = cond
+        self.cond_pmfs = tuple(FinitePmf(row) for row in cond)
+        p_y = self.p_y.probs
+        with np.errstate(divide="ignore"):
+            self.iota = np.where(cond > 0.0,
+                                 np.log2(np.divide(cond, p_y[None, :],
+                                                   out=np.ones_like(cond),
+                                                   where=p_y > 0)),
+                                 -np.inf)
+        self.resort = tuple(resort_tables(self.p_y, row) for row in self.iota)
+
+    def target(self, x: SymbolId, u: SymbolId) -> FinitePmf:
+        """The kernel row of (x_i, u): the law y_i is selected from."""
+        return self.rows[x * self.nu + u]
+
+    def stream(self, u: SymbolId, seed: Seed) -> ResortedStream:
+        """This side's shared y-stream under seed, re-sorted for u."""
+        return ResortedStream(arrival_stream(seed, self.label, self.p_y),
+                              *self.resort[u], self.cond_pmfs[u])
 
 
 def gw_encode(model: GwModel, x1: SymbolId, x2: SymbolId, seed: Seed) -> GwResult:
@@ -321,10 +242,8 @@ def gw_encode(model: GwModel, x1: SymbolId, x2: SymbolId, seed: Seed) -> GwResul
     s_u = arrival_stream(seed, "gw-u", model.p_u)
     r0 = pfr_select(model.u_target(x1, x2), model.p_u, s_u)
     u = r0.y
-    r1 = pfr_select(model.y1_target(x1, u), model.cond_y1_pmfs[u],
-                    _resorted_for(model, 1, u, seed))
-    r2 = pfr_select(model.y2_target(x2, u), model.cond_y2_pmfs[u],
-                    _resorted_for(model, 2, u, seed))
+    r1, r2 = (pfr_select(side.target(x, u), side.cond_pmfs[u], side.stream(u, seed))
+              for side, x in zip(model.sides, (x1, x2)))
     return GwResult(k0=r0.k, k1=r1.k, k2=r2.k, u=u, y1=r1.y, y2=r2.y)
 
 
@@ -341,26 +260,20 @@ def gw_decode(model: GwModel, k0: int, k1: int, k2: int, seed: Seed) -> tuple:
     (seed, k0, k2) only, so each decoder needs just its own pair.
     """
     u = _nth_mark(arrival_stream(seed, "gw-u", model.p_u), k0)
-    y1 = _nth_mark(_resorted_for(model, 1, u, seed), k1)
-    y2 = _nth_mark(_resorted_for(model, 2, u, seed), k2)
+    y1, y2 = (_nth_mark(side.stream(u, seed), k)
+              for side, k in zip(model.sides, (k1, k2)))
     return u, y1, y2
 
 
 def gw_dominance_params(model: GwModel, x1: SymbolId, x2: SymbolId,
                         u: SymbolId, y1: SymbolId, y2: SymbolId) -> tuple:
     """Geometric parameters of the three dominating index laws at the tuple."""
-    pu = float(model.p_u.probs[u])
-    tu = float(model.u_target(x1, x2).probs[u])
-    c1 = float(model.p_y1_given_u[u, y1])
-    t1 = float(model.y1_target(x1, u).probs[y1])
-    c2 = float(model.p_y2_given_u[u, y2])
-    t2 = float(model.y2_target(x2, u).probs[y2])
-    if min(pu, tu, c1, t1, c2, t2) <= 0.0:
+    laws = [(float(model.p_u.probs[u]), float(model.u_target(x1, x2).probs[u]))]
+    for side, x, y in zip(model.sides, (x1, x2), (y1, y2)):
+        laws.append((float(side.p_y_given_u[u, y]), float(side.target(x, u).probs[y])))
+    if min(min(pair) for pair in laws) <= 0.0:
         raise UnsupportedPoint("a conditional probability at the tuple is zero")
-    p0 = 1.0 / (tu / pu + 1.0)
-    p1 = 1.0 / (t1 / c1 + 1.0)
-    p2 = 1.0 / (t2 / c2 + 1.0)
-    return p0, p1, p2
+    return tuple(1.0 / (t / c + 1.0) for c, t in laws)
 
 
 @dataclass(frozen=True, slots=True)
@@ -396,15 +309,8 @@ def _gw_run_range(model, start, stop, seed):
 
 def gw_run_trials(model: GwModel, n: int, seed: Seed, threads: int = 1) -> list:
     """n encode trials with source pairs drawn from the model; deterministic."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if threads <= 1:
-        return _gw_run_range(model, 0, n, seed)
-    chunk = (n + threads - 1) // threads
-    spans = [(i, min(i + chunk, n)) for i in range(0, n, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(lambda span: _gw_run_range(model, *span, seed), spans)
-        return [rec for part in parts for rec in part]
+    return run_spans(lambda start, stop: _gw_run_range(model, start, stop, seed),
+                     n, threads)
 
 
 def gw_records_to_csv(records, fh) -> None:

@@ -17,7 +17,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codebook import CodebookStream
 from .errors import AbsoluteContinuityViolated, DegenerateTarget
 from .prob import FinitePmf, Kernel, SymbolId, kl_divergence
 
@@ -50,8 +49,7 @@ def _density_ratio(target: FinitePmf, proposal: FinitePmf) -> np.ndarray:
 @lru_cache(maxsize=512)
 def _ratio_cached(target: FinitePmf, proposal: FinitePmf):
     f = _density_ratio(target, proposal)
-    f.flags.writeable = False
-    return f, float(f.max())
+    return f.tolist(), float(f.max())
 
 
 @lru_cache(maxsize=512)
@@ -63,7 +61,8 @@ def pfr_select(target: FinitePmf, proposal: FinitePmf, stream,
                *, horizon_scale: float = 1.0) -> PfrResult:
     """Exact argmin_i T_i / f(mark_i); marks with f = 0 are skipped but keep their index.
 
-    The stream's mark law must be the proposal.  horizon_scale > 1 extends the
+    stream yields (index, mark, time) triples in arrival order and carries
+    a mark_law, which must be the proposal.  horizon_scale > 1 extends the
     scan past the provable cutoff (used to regression-test the stopping rule;
     the result never changes).
     """
@@ -71,14 +70,10 @@ def pfr_select(target: FinitePmf, proposal: FinitePmf, stream,
     if not _mark_law_matches(stream.mark_law, proposal):
         raise ValueError("stream mark law differs from the proposal")
     stop_scale = horizon_scale * f_max
-    if isinstance(stream, CodebookStream):
-        return _select_blocked(f, stop_scale, stream)
     best = math.inf
     best_k = 0
     best_y = -1
-    advance = stream.next_marked_point
-    while True:
-        idx, mark, t = advance()
+    for idx, mark, t in stream:
         if t >= best * stop_scale:
             return PfrResult(best_k, best_y, best, idx)
         fy = f[mark]
@@ -86,39 +81,6 @@ def pfr_select(target: FinitePmf, proposal: FinitePmf, stream,
             score = t / fy
             if score < best:
                 best, best_k, best_y = score, idx, mark
-
-
-def _select_blocked(f: np.ndarray, stop_scale: float,
-                    stream: CodebookStream) -> PfrResult:
-    """Same scan as the generic loop, reading the stream's buffer block-wise.
-
-    Leaves the stream cursor exactly on the stopping point, so interleaving
-    with next_marked_point stays consistent.
-    """
-    best = math.inf
-    best_k = 0
-    best_y = -1
-    while True:
-        if stream._pos >= stream._times.size:
-            stream._refill()
-        i0 = stream._pos
-        times = stream._times[i0:]
-        marks = stream._marks[i0:]
-        base = stream.cursor
-        with np.errstate(divide="ignore"):
-            scores = times / f[marks]
-        tlist = times.tolist()
-        slist = scores.tolist()
-        for j, t in enumerate(tlist):
-            if t >= best * stop_scale:
-                stream._pos = i0 + j + 1
-                stream.cursor = base + j + 1
-                return PfrResult(best_k, best_y, best, base + j + 1)
-            s = slist[j]
-            if s < best:
-                best, best_k, best_y = s, base + j + 1, int(marks[j])
-        stream._pos = i0 + len(tlist)
-        stream.cursor = base + len(tlist)
 
 
 def geometric_parameter_exact(target: FinitePmf, proposal: FinitePmf,

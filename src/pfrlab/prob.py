@@ -266,16 +266,3 @@ def sample_pmf(p: FinitePmf, rng_state: RngState) -> SymbolId:
     """One draw from p; deterministic given the stream position."""
     u = float(rng_state.uniforms(1)[0])
     return int(np.searchsorted(p.cumulative(), u, side="right"))
-
-
-def sample_pmf_many(p: FinitePmf, rng_state: RngState, n: int) -> np.ndarray:
-    """n i.i.d. draws from p as an int array (bulk form of sample_pmf)."""
-    u = rng_state.uniforms(n)
-    return np.searchsorted(p.cumulative(), u, side="right").astype(np.int64)
-
-
-def tv_distance(p: FinitePmf, q: FinitePmf) -> float:
-    """Total variation distance between two pmfs on the same alphabet."""
-    if len(p) != len(q):
-        raise ValueError("tv_distance needs a common alphabet")
-    return 0.5 * float(np.abs(p.probs - q.probs).sum())

@@ -186,7 +186,7 @@ def tilted_information(sol: RdSolution, x: SymbolId, delta: float) -> float:
 
     -log2 E[2^{-lambda* (d(x, Y*) - delta)}] with Y* following the output
     marginal.  At delta = sol.distortion this is the tilted information in x;
-    it is linear in delta with slope lambda*.
+    it is linear in delta with slope -lambda*.
     """
     q = sol.output_marginal.probs
     mask = q > 0

@@ -19,8 +19,10 @@ records are identical regardless of scheduling and are merged by trial index.
 """
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,8 +70,14 @@ class TailEstimate:
     n: int
 
 
+@lru_cache(maxsize=16)
 def _tables(sol: RdSolution):
-    """Per-(x, y) lookup tables shared by the trial loop and the bound sums."""
+    """Per-(x, y) lookup tables shared by the trial loop and the bound sums.
+
+    Built once per solution.  j(x, d(x, y)) is evaluated once per distinct
+    distortion level in row x; the affine form j(x, D) - lambda* (d(x, y) - D)
+    is not bit-identical (it turns an exact -0 into -1.1e-16 in the CSV).
+    """
     rows = sol.kernel.rows
     q = sol.output_marginal.probs
     with np.errstate(divide="ignore"):
@@ -77,15 +85,36 @@ def _tables(sol: RdSolution):
                         np.log2(np.divide(rows, q[None, :],
                                           out=np.ones_like(rows), where=q > 0)),
                         -np.inf)
-    nx, ny = rows.shape
+    nx = rows.shape[0]
     j_x = np.array([tilted_information(sol, x, sol.distortion) for x in range(nx)])
-    dmat = sol.distortion_matrix.d
-    j_xd = np.array([[tilted_information(sol, x, float(dmat[x, y]))
-                      for y in range(ny)] for x in range(nx)])
+    j_xd = np.empty(rows.shape)
+    for x, drow in enumerate(sol.distortion_matrix.d):
+        levels, at = np.unique(drow, return_inverse=True)
+        j_xd[x] = np.array([tilted_information(sol, x, float(v)) for v in levels])[at]
     return iota, j_x, j_xd
 
 
-def _run_range(sol, source, d, start, stop, seed, iota, j_x, j_xd):
+def worker_count(threads: int, n: int) -> int:
+    """Threads a run of n trials starts: at most one per trial and one per CPU."""
+    return max(1, min(threads, n, os.cpu_count() or 1))
+
+
+def run_spans(run_range, n: int, threads: int) -> list:
+    """run_range(start, stop) over contiguous spans of [0, n), merged in trial order."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    workers = worker_count(threads, n)
+    if workers == 1:
+        return run_range(0, n)
+    chunk = (n + workers - 1) // workers
+    spans = [(i, min(i + chunk, n)) for i in range(0, n, chunk)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = pool.map(lambda span: run_range(*span), spans)
+        return [rec for part in parts for rec in part]
+
+
+def _run_range(sol, source, d, start, stop, seed):
+    iota, j_x, j_xd = _tables(sol)
     rate = sol.rate
     dmat = d.d
     q = sol.output_marginal
@@ -112,32 +141,23 @@ def _run_range(sol, source, d, start, stop, seed, iota, j_x, j_xd):
 def run_trials(sol: RdSolution, source: FinitePmf, d: DistortionMatrix,
                n: int, seed: Seed, threads: int = 1) -> list:
     """n independent trials of the one-shot scheme; deterministic in (seed, n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    iota, j_x, j_xd = _tables(sol)
-    if threads <= 1:
-        return _run_range(sol, source, d, 0, n, seed, iota, j_x, j_xd)
-    chunk = (n + threads - 1) // threads
-    spans = [(i, min(i + chunk, n)) for i in range(0, n, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(lambda span: _run_range(sol, source, d, *span, seed,
-                                                 iota, j_x, j_xd), spans)
-        return [rec for part in parts for rec in part]
+    return run_spans(lambda start, stop: _run_range(sol, source, d, start, stop, seed),
+                     n, threads)
 
 
-def _redundancies(records, eta_kind: str, code_kind: str) -> np.ndarray:
+def _check_kinds(eta_kind: str, code_kind: str) -> None:
     if eta_kind not in ETA_KINDS:
         raise UnsupportedEta(f"unknown redundancy kind {eta_kind!r}")
     if code_kind not in CODE_KINDS:
         raise ValueError(f"unknown code kind {code_kind!r}")
-    name = f"{eta_kind.lower()}_{code_kind}"
-    return np.array([getattr(r, name) for r in records])
 
 
 def estimate_tail(records, eta_kind: str, code_kind: str,
                   gamma: float) -> TailEstimate:
     """Empirical P(length - eta >= gamma) over the records."""
-    vals = _redundancies(records, eta_kind, code_kind)
+    _check_kinds(eta_kind, code_kind)
+    name = f"{eta_kind.lower()}_{code_kind}"
+    vals = np.array([getattr(r, name) for r in records])
     n = vals.size
     if n == 0:
         raise ValueError("records must be nonempty")
@@ -161,10 +181,7 @@ def bound_rhs(sol: RdSolution, source: FinitePmf, d: DistortionMatrix,
     * "psdr_tight":   2^{-g+1} (1 + E[2^-iota])                   (PSDR, plain)
     * "psdr_prefix":  2^{-g+3} E[([iota+g]_+ + 1)^2]              (PSDR, delta)
     """
-    if eta_kind not in ETA_KINDS:
-        raise UnsupportedEta(f"unknown redundancy kind {eta_kind!r}")
-    if code_kind not in CODE_KINDS:
-        raise ValueError(f"unknown code kind {code_kind!r}")
+    _check_kinds(eta_kind, code_kind)
     if not variant:
         variant = "prefix" if code_kind == "delta" else "clipped"
     if variant.startswith("psdr") and eta_kind != "PSDR":

@@ -101,12 +101,6 @@ class TestBitString:
         with pytest.raises(ValueError):
             BitString("010x")
 
-    def test_record_round_trip(self):
-        for bits in ["", "1", "0110", "1" * 17, "010101010101"]:
-            n, payload = BitString(bits).to_record()
-            assert n == len(bits)
-            assert BitString.from_record(n, payload).bits == bits
-
     def test_iter_and_index(self):
         b = BitString("101")
         assert list(b) == [1, 0, 1]

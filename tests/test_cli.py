@@ -229,3 +229,33 @@ class TestSeedOverride:
         assert main(["redundancy-sweep", "--config", cfg, "--out",
                      str(tmp_path)]) == 2
         assert "seed" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    def test_target_below_minimum_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, bsc_config(target_D="-0.1"))
+        assert main(["redundancy-sweep", "--config", cfg, "--out",
+                     str(tmp_path)]) == 2
+        assert "target_D" in capsys.readouterr().err
+
+    def test_proposal_missing_target_support_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "trials": 100, "seed": SEED_HEX,
+            "pfr": {"target": ["0.5", "0.5"], "proposal": ["1", "0"]},
+        })
+        assert main(["verify-pfr", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "pfr.proposal" in capsys.readouterr().err
+
+    def test_non_integer_threads_env_exit_2(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, bsc_config(trials=10))
+        monkeypatch.setenv("PFRLAB_THREADS", "two")
+        assert main(["redundancy-sweep", "--config", cfg, "--out",
+                     str(tmp_path)]) == 2
+        assert "PFRLAB_THREADS" in capsys.readouterr().err
+
+    def test_threads_below_one_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, bsc_config(trials=10))
+        for flag in ("0", "-3"):
+            assert main(["redundancy-sweep", "--config", cfg, "--out",
+                         str(tmp_path), "--threads", flag]) == 2
+            assert "--threads" in capsys.readouterr().err

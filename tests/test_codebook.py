@@ -1,6 +1,6 @@
 import numpy as np
 
-from pfrlab import FinitePmf, Seed, arrival_stream, derive_subseed, next_marked_point
+from pfrlab import FinitePmf, Seed, arrival_stream, derive_subseed
 
 
 def take(stream, n):
@@ -22,11 +22,20 @@ class TestDeterminism:
         b = take(arrival_stream(s, "two", q), 50)
         assert a != b
 
-    def test_functional_alias(self):
-        q = FinitePmf.uniform(2)
+    def test_iter_shares_cursor_with_next_marked_point(self):
+        q = FinitePmf(np.array([0.25, 0.75]))
+        ref = take(arrival_stream(Seed.from_int(1), "cb", q), 30)
         st = arrival_stream(Seed.from_int(1), "cb", q)
-        pt = next_marked_point(st)
+        pt = st.next_marked_point()
         assert pt.index == 1 and st.cursor == 1
+        got = [pt]
+        for idx, mark, t in st:
+            got.append((idx, mark, t))
+            assert st.cursor == idx
+            if idx == 19:  # stop mid-block: the stream stays on point 19
+                break
+        got += take(st, 11)
+        assert got == ref
 
 
 class TestSubseeds:

@@ -4,10 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pfrlab import (FinitePmf, GwModel, Kernel, Seed, UnsupportedPoint,
-                    arrival_stream, derive_subseed, gw_decode,
-                    gw_dominance_params, gw_encode, gw_run_trials,
-                    resorted_stream)
+from pfrlab import (FinitePmf, GwModel, Kernel, ResortedStream, Seed,
+                    UnsupportedPoint, arrival_stream, derive_subseed, gw_decode,
+                    gw_dominance_params, gw_encode, gw_run_trials, resort_tables)
 
 SEED = Seed.from_int(99)
 
@@ -63,7 +62,7 @@ class TestModel:
         assert np.allclose(m.p_u.probs, [0.5, 0.5])
         assert m.mi_u_sources == pytest.approx(1.0)
         assert m.mi_y_source_given_u(1) == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(m.p_y1_given_u, np.eye(2))
+        assert np.allclose(m.sides[0].p_y_given_u, np.eye(2))
 
     def test_independent_u_quantities(self):
         m = independent_u_model()
@@ -82,7 +81,7 @@ class TestModel:
                 for u in range(2):
                     w = m.joint_source[x1, x2] * m.u_kernel.rows[x1 * 2 + x2, u]
                     py1 += w * m.y1_kernel.rows[x1 * 2 + u]
-        assert np.abs(py1 - m.p_y1.probs).max() <= 1e-9
+        assert np.abs(py1 - m.sides[0].p_y.probs).max() <= 1e-9
 
 
 class TestResortedStream:
@@ -90,15 +89,15 @@ class TestResortedStream:
         q = FinitePmf(np.array([0.3, 0.7]))
         base1 = arrival_stream(SEED, "r", q)
         base2 = arrival_stream(SEED, "r", q)
-        rs = resorted_stream(base1, 0, np.zeros((1, 2)))
+        rs = ResortedStream(base1, *resort_tables(q, np.zeros(2)), q)
         pts_resorted = [rs.next_marked_point() for _ in range(200)]
         pts_base = [base2.next_marked_point() for _ in range(200)]
         assert pts_resorted == pts_base
 
     def test_times_ascending(self):
-        iota = np.array([[1.0, -1.0]])
         base = arrival_stream(SEED, "r2", FinitePmf.uniform(2))
-        rs = resorted_stream(base, 0, iota)
+        rs = ResortedStream(base, *resort_tables(base.mark_law, [1.0, -1.0]),
+                            FinitePmf(np.array([0.8, 0.2])))
         pts = [rs.next_marked_point() for _ in range(1000)]
         times = [p.time for p in pts]
         assert all(b > a for a, b in zip(times, times[1:]))
@@ -107,17 +106,21 @@ class TestResortedStream:
     def test_mark_law_matches_conditional(self):
         m = random_model(1)
         u = 0
-        base = arrival_stream(SEED, "r3", m.p_y1)
-        rs = resorted_stream(base, u, m.iota_u_y1)
+        side = m.sides[0]
+        base = arrival_stream(SEED, "r3", side.p_y)
+        rs = ResortedStream(base, *resort_tables(side.p_y, side.iota[u]),
+                            side.cond_pmfs[u])
         marks = np.array([rs.next_marked_point().mark for _ in range(100_000)])
         freq = np.bincount(marks, minlength=2) / marks.size
-        assert 0.5 * np.abs(freq - m.p_y1_given_u[u]).sum() <= 0.02
+        assert 0.5 * np.abs(freq - side.p_y_given_u[u]).sum() <= 0.02
 
     def test_rate_preserved(self):
         # transformed process keeps unit rate when iota is a true density log-ratio
         m = random_model(2)
-        base = arrival_stream(SEED, "r4", m.p_y1)
-        rs = resorted_stream(base, 1, m.iota_u_y1)
+        side = m.sides[0]
+        base = arrival_stream(SEED, "r4", side.p_y)
+        rs = ResortedStream(base, *resort_tables(side.p_y, side.iota[1]),
+                            side.cond_pmfs[1])
         pts = [rs.next_marked_point() for _ in range(20_000)]
         gaps = np.diff([0.0] + [p.time for p in pts])
         assert 0.97 <= gaps.mean() <= 1.03

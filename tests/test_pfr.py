@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pfrlab import (AbsoluteContinuityViolated, FinitePmf, Kernel, Seed,
+from pfrlab import (AbsoluteContinuityViolated, FinitePmf, GwModel, Kernel, Seed,
                     arrival_stream, derive_subseed, dominance_parameter,
                     expected_log_k_bound, geometric_parameter_exact,
                     kl_divergence, mutual_information, pfr_select)
@@ -145,22 +147,77 @@ class TestLaws:
             assert (a.k, a.y) == (b.k, b.y)
             assert b.examined >= a.examined
 
-    def test_blocked_path_equals_generic(self):
-        class Opaque:
-            def __init__(self, inner):
-                self._inner = inner
-                self.mark_law = inner.mark_law
 
-            def next_marked_point(self):
-                return self._inner.next_marked_point()
+def assert_exact_selection(target, proposal, make_stream):
+    """pfr_select's (k, y) is the brute-force argmin of T_i / f(Y_i).
 
-        for t in range(3000):
-            sub = derive_subseed(SEED, t, "codebook")
-            fast = pfr_select(TARGET, UNIFORM,
-                              arrival_stream(sub, "codebook", UNIFORM))
-            slow = pfr_select(TARGET, UNIFORM,
-                              Opaque(arrival_stream(sub, "codebook", UNIFORM)))
-            assert fast == slow
+    The argmin is taken over the first `examined` points, replayed one at a
+    time with next_marked_point, and no point out to twice the stopping
+    horizon may beat it.  The replayed times must ascend, or the stopping
+    rule would not be sound.
+    """
+    r = pfr_select(target, proposal, make_stream())
+    f = np.divide(target.probs, proposal.probs, out=np.zeros(len(target)),
+                  where=proposal.probs > 0)
+    replay = make_stream()
+    best = (math.inf, 0, -1)
+    horizon = 2.0 * float(f.max()) * r.score
+    last = 0.0
+    while True:
+        p = replay.next_marked_point()
+        assert p.time > last
+        last = p.time
+        if p.index > r.examined and p.time >= horizon:
+            break
+        if f[p.mark] > 0:
+            best = min(best, (p.time / f[p.mark], p.index, p.mark))
+        if p.index == r.examined:
+            assert (best[1], best[2]) == (r.k, r.y)
+    assert (best[1], best[2]) == (r.k, r.y)
+    assert best[0] == r.score
+
+
+weights = st.integers(min_value=0, max_value=20)
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def pmf_pairs(draw):
+    m = draw(st.integers(min_value=2, max_value=64))
+    q = np.array(draw(st.lists(weights.map(lambda w: w + 1), min_size=m, max_size=m)),
+                 dtype=float)
+    p = np.array(draw(st.lists(weights, min_size=m, max_size=m)), dtype=float)
+    p[draw(st.integers(min_value=0, max_value=m - 1))] += 1.0
+    return FinitePmf(p / p.sum()), FinitePmf(q / q.sum())
+
+
+class TestOneScanProperty:
+    @PROPERTY
+    @given(pair=pmf_pairs(), seed=st.integers(min_value=0, max_value=2**64))
+    def test_codebook_stream(self, pair, seed):
+        target, proposal = pair
+        assert_exact_selection(target, proposal, lambda: arrival_stream(
+            Seed.from_int(seed), "codebook", proposal))
+
+    @PROPERTY
+    @given(model_seed=st.integers(min_value=0, max_value=2**32),
+           seed=st.integers(min_value=0, max_value=2**64),
+           ny=st.integers(min_value=3, max_value=6),
+           pick=st.integers(min_value=0, max_value=2**16))
+    def test_resorted_stream(self, model_seed, seed, ny, pick):
+        rng = np.random.default_rng(model_seed)
+
+        def kern(rows, cols):
+            a = rng.random((rows, cols)) ** 3 + 0.01
+            return Kernel(a / a.sum(axis=1, keepdims=True))
+
+        joint = rng.random((3, 3)) + 0.05
+        model = GwModel(joint_source=joint / joint.sum(), u_kernel=kern(9, 3),
+                        y1_kernel=kern(9, ny), y2_kernel=kern(9, 7 - ny % 4))
+        side = model.sides[pick % 2]
+        x, u = divmod(pick // 2 % 9, 3)
+        assert_exact_selection(side.target(x, u), side.cond_pmfs[u],
+                               lambda: side.stream(u, Seed.from_int(seed)))
 
 
 class TestExpectedLogKBound:

@@ -7,7 +7,7 @@ import pytest
 
 from pfrlab import (FinitePmf, Seed, UnsupportedEta, bound_rhs, estimate_tail,
                     records_to_csv, run_trials, summary_stats)
-from pfrlab.redundancy import CSV_HEADER
+from pfrlab.redundancy import CSV_HEADER, worker_count
 
 SEED = Seed.from_int(2024)
 
@@ -51,6 +51,15 @@ class TestRecords:
         b = run_trials(bsc_sol, uniform2, hamming2, 500, SEED)
         c = run_trials(bsc_sol, uniform2, hamming2, 500, SEED, threads=3)
         assert a == b == c
+
+    def test_worker_count_clamped_to_cpus_and_trials(self, monkeypatch):
+        import pfrlab.redundancy as red
+        monkeypatch.setattr(red.os, "cpu_count", lambda: 2)
+        assert worker_count(10**6, 10**9) == 2
+        assert worker_count(8, 1) == 1
+        assert worker_count(1, 100) == 1
+        monkeypatch.setattr(red.os, "cpu_count", lambda: None)
+        assert worker_count(4, 100) == 1
 
     def test_prefix_independent_of_total(self, bsc_sol, uniform2, hamming2):
         a = run_trials(bsc_sol, uniform2, hamming2, 50, SEED)

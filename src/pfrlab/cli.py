@@ -30,7 +30,7 @@ from .pfr import dominance_parameter, geometric_parameter_exact, pfr_select
 from .prob import DistortionMatrix, FinitePmf, Kernel, Seed, kl_divergence
 from .rd import ba_fixed_slope, solve_at_distortion
 from .redundancy import (CODE_KINDS, ETA_KINDS, bound_rhs, estimate_tail,
-                         records_to_csv, run_trials)
+                         records_to_csv, run_trials, select_span)
 
 
 class ConfigError(PfrlabError):
@@ -40,6 +40,8 @@ class ConfigError(PfrlabError):
 
 
 def _number(v, field: str) -> float:
+    if isinstance(v, bool):
+        raise ConfigError(field, f"expected a decimal number, got {v!r}")
     try:
         x = float(v)
     except (TypeError, ValueError):
@@ -136,7 +138,7 @@ def load_config(path: str, mode: str, trials_override=None,
 
     trials = raw.get("trials")
     if trials is not None:
-        if not isinstance(trials, int) or trials < 1:
+        if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
             raise ConfigError("trials", f"must be an integer >= 1, got {trials!r}")
 
     seed = None
@@ -145,6 +147,10 @@ def load_config(path: str, mode: str, trials_override=None,
 
     gamma_grid = None
     if "gamma_grid" in raw:
+        if not isinstance(raw["gamma_grid"], list):
+            raise ConfigError("gamma_grid",
+                              f"expected a list of decimal numbers, got "
+                              f"{raw['gamma_grid']!r}")
         gamma_grid = [_number(g, "gamma_grid") for g in raw["gamma_grid"]]
         if mode == "redundancy-sweep" and not gamma_grid:
             raise ConfigError("gamma_grid", "must be nonempty for redundancy-sweep")
@@ -241,11 +247,9 @@ def cmd_verify_pfr(cfg: ExperimentConfig, out_dir: str) -> int:
                                 proposal)
         return pfr_select(target, proposal, stream, **kwargs)
 
-    ks = np.empty(n, dtype=np.int64)
-    ys = np.empty(n, dtype=np.int64)
-    for t in range(n):
-        res = select(t)
-        ks[t], ys[t] = res.k, res.y
+    # the batched engine; the replay checks below rerun trials with pfr_select
+    ks, ys = select_span(seed, range(n), [target], np.zeros(n, dtype=np.int64),
+                         proposal)
     m = len(target)
     checks = []
 

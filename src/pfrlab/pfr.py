@@ -9,6 +9,9 @@ geometric with parameter 1 / E[max{f(y), f(Y')}], Y' ~ Q.
 The argmin over the infinite process is certified by a finite stopping rule:
 with f_max = max_y f(y), no point arriving after time f_max * (best score so
 far) can improve the minimum, so generation stops there.
+
+pfr_select runs the rule one point at a time over any stream; pfr_scan_rows
+runs the same rule over a round of points for many scans at once.
 """
 
 import math
@@ -52,6 +55,15 @@ def _ratio_cached(target: FinitePmf, proposal: FinitePmf):
     return f.tolist(), float(f.max())
 
 
+@lru_cache(maxsize=16)
+def _ratio_rows(targets: tuple, proposal: FinitePmf):
+    """Density ratios of the targets against one proposal, a row each; row maxima."""
+    f = np.array([_density_ratio(t, proposal) for t in targets])
+    f_max = f.max(axis=1)
+    f.flags.writeable = f_max.flags.writeable = False
+    return f, f_max
+
+
 @lru_cache(maxsize=512)
 def _mark_law_matches(mark_law: FinitePmf, proposal: FinitePmf) -> bool:
     return bool(np.allclose(mark_law.probs, proposal.probs, rtol=0, atol=1e-9))
@@ -81,6 +93,29 @@ def pfr_select(target: FinitePmf, proposal: FinitePmf, stream,
             score = t / fy
             if score < best:
                 best, best_k, best_y = score, idx, mark
+
+
+def pfr_scan_rows(fy: np.ndarray, times: np.ndarray, stop_scale: np.ndarray,
+                  best: np.ndarray) -> tuple:
+    """pfr_select's loop over one round of points for many scans at once.
+
+    Row i continues a scan whose best score so far is best[i]; its next
+    points have arrival times times[i] and density ratios fy[i].  The stop
+    test of each point uses the minimum score of the points before it, a
+    prefix minimum.  Returns (stop, col, score): stop[i] is the column of
+    the point that stops the scan, or the row length when no point does;
+    score[i] is the least score of the columns before stop[i], first taken
+    at column col[i].  The scan's best changes only where score < best.
+    """
+    rows, n = times.shape
+    scores = np.divide(times, fy, out=np.full(times.shape, math.inf), where=fy > 0.0)
+    before = np.minimum.accumulate(
+        np.concatenate([best[:, None], scores[:, :-1]], axis=1), axis=1)
+    hit = times >= before * stop_scale[:, None]
+    stop = np.where(hit.any(axis=1), hit.argmax(axis=1), n)
+    scored = np.where(np.arange(n) < stop[:, None], scores, math.inf)
+    col = scored.argmin(axis=1)
+    return stop, col, scored[np.arange(rows), col]
 
 
 def geometric_parameter_exact(target: FinitePmf, proposal: FinitePmf,

@@ -10,6 +10,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +29,40 @@ def _kdf(*parts: bytes) -> bytes:
         h.update(struct.pack(">I", len(p)))
         h.update(p)
     return h.digest()
+
+
+@lru_cache(maxsize=256)
+def _counters(first: int, count: int) -> tuple:
+    return tuple(c.to_bytes(8, "big") for c in range(first, first + count))
+
+
+def _counter_blocks(key: bytes, first: int, count: int) -> bytes:
+    """Blocks first .. first + count - 1 of RngState(key), 4 words each.
+
+    Block c is SHA-256(key || c as 8 big-endian bytes), as in RngState.uint64.
+    """
+    sha256 = hashlib.sha256
+    return b"".join([sha256(key + c).digest() for c in _counters(first, count)])
+
+
+def key_words(keys, first: int, count: int) -> np.ndarray:
+    """Words 4*first .. 4*(first + count) - 1 of RngState(key), one row per key.
+
+    The batched form of RngState.uint64 for streams that all stand at the
+    same block-aligned position.
+    """
+    buf = b"".join([_counter_blocks(k, first, count) for k in keys])
+    return np.frombuffer(buf, dtype=">u8").reshape(len(keys), 4 * count)
+
+
+def unit_interval(words: np.ndarray) -> np.ndarray:
+    """Words as uniforms in [0, 1)."""
+    return words.astype(np.float64) * _TWO_NEG64
+
+
+def unit_interval_oc(words: np.ndarray) -> np.ndarray:
+    """Words as uniforms in (0, 1]; safe as -log input."""
+    return (words.astype(np.float64) + 1.0) * _TWO_NEG64
 
 
 def _encode_label(label) -> bytes:
@@ -109,11 +144,11 @@ class RngState:
 
     def uniforms(self, n: int) -> np.ndarray:
         """n uniforms in [0, 1)."""
-        return self.uint64(n).astype(np.float64) * _TWO_NEG64
+        return unit_interval(self.uint64(n))
 
     def uniforms_oc(self, n: int) -> np.ndarray:
         """n uniforms in (0, 1]; safe as -log input."""
-        return (self.uint64(n).astype(np.float64) + 1.0) * _TWO_NEG64
+        return unit_interval_oc(self.uint64(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,3 +301,9 @@ def sample_pmf(p: FinitePmf, rng_state: RngState) -> SymbolId:
     """One draw from p; deterministic given the stream position."""
     u = float(rng_state.uniforms(1)[0])
     return int(np.searchsorted(p.cumulative(), u, side="right"))
+
+
+def sample_pmf_keys(p: FinitePmf, keys) -> np.ndarray:
+    """sample_pmf(p, RngState(key)) on a fresh stream, for each key."""
+    u = unit_interval(key_words(keys, 0, 1)[:, 0])
+    return np.searchsorted(p.cumulative(), u, side="right")

@@ -16,6 +16,14 @@ corresponding upper bounds.
 
 Trials are embarrassingly parallel: every trial derives its own seed, so
 records are identical regardless of scheduling and are merged by trial index.
+
+The trial engine works on chunks of _CHUNK trials.  For a chunk it derives
+every trial's keys in one pass, draws the source symbols at once, and runs
+the selections side by side (:func:`select_span`): each round draws the
+next points of every unfinished scan and applies the stop rule to all of
+them with pfr_scan_rows.  The records equal those of one pfr_select per
+trial, bit for bit; pfr_select stays the streaming path, and the engine
+falls back to it for a trial whose drawn gaps hold a zero.
 """
 
 import math
@@ -27,11 +35,16 @@ from functools import lru_cache
 import numpy as np
 
 from .bitcodes import delta_code_length
-from .codebook import arrival_stream, derive_subseed
+from .codebook import (_BLOCK, arrival_stream, derive_subseed, draw_points,
+                        span_keys, stream_keys)
 from .errors import UnsupportedEta
-from .pfr import pfr_select
-from .prob import DistortionMatrix, FinitePmf, Seed, SymbolId, entropy, sample_pmf
+from .pfr import _ratio_rows, pfr_scan_rows, pfr_select
+from .prob import (DistortionMatrix, FinitePmf, Seed, SymbolId, entropy,
+                   sample_pmf_keys)
 from .rd import RdSolution, tilted_information
+
+# trials per chunk of the engine; bounds its working arrays whatever n is
+_CHUNK = 128
 
 ETA_KINDS = ("PRR", "PSR", "PSDR")
 CODE_KINDS = ("plain", "delta")
@@ -94,6 +107,12 @@ def _tables(sol: RdSolution):
     return iota, j_x, j_xd
 
 
+@lru_cache(maxsize=16)
+def _targets(sol: RdSolution) -> tuple:
+    """The kernel rows as pmfs, built once per solution; they key the ratio cache."""
+    return tuple(sol.kernel.row(x) for x in range(sol.kernel.shape[0]))
+
+
 def worker_count(threads: int, n: int) -> int:
     """Threads a run of n trials starts: at most one per trial and one per CPU."""
     return max(1, min(threads, n, os.cpu_count() or 1))
@@ -113,28 +132,80 @@ def run_spans(run_range, n: int, threads: int) -> list:
         return [rec for part in parts for rec in part]
 
 
+def _round_points(f_max: float) -> int:
+    """Points each round draws per unfinished scan: about 3/4 of f_max + 1.
+
+    A scan examines f_max + 1 points on average, with a long geometric-like
+    tail.  Rounds of 3/4 of that mean keep both the points drawn past the
+    stop and the number of rounds low.
+    """
+    return _BLOCK * math.ceil(0.75 * (f_max + 1.0) / _BLOCK)
+
+
+def select_span(seed: Seed, trials: range, targets, xs, proposal: FinitePmf):
+    """(k, y) arrays of pfr_select(targets[xs[i]], proposal, stream i), batched.
+
+    Stream i is arrival_stream(derive_subseed(seed, trials[i], "codebook"),
+    "codebook", proposal).  The results equal the streaming scan's, bit for
+    bit.
+    """
+    f, f_max = _ratio_rows(tuple(targets), proposal)
+    cum = proposal.cumulative()
+    ks = np.zeros(len(trials), dtype=np.int64)
+    ys = np.zeros(len(trials), dtype=np.int64)
+    for c0 in range(0, len(trials), _CHUNK):
+        span = trials[c0:c0 + _CHUNK]
+        gap_keys, mark_keys = stream_keys(seed, span, "codebook")
+        # k and y are views: the chunk's results land in ks and ys
+        x, k, y = xs[c0:c0 + _CHUNK], ks[c0:c0 + _CHUNK], ys[c0:c0 + _CHUNK]
+        scale = f_max[x]
+        best = np.full(len(span), math.inf)
+        time0 = np.zeros(len(span))
+        live = np.arange(len(span))
+        start, n = 0, _round_points(float(scale.max()))
+        while live.size:
+            times, marks, zero = draw_points([gap_keys[i] for i in live],
+                                             [mark_keys[i] for i in live],
+                                             cum, start, n, time0[live])
+            stop, col, score = pfr_scan_rows(f[x[live, None], marks], times,
+                                             scale[live], best[live])
+            better = score < best[live]
+            won = live[better]
+            best[won] = score[better]
+            k[won] = start + col[better] + 1
+            y[won] = marks[better, col[better]]
+            for i in live[zero]:
+                res = pfr_select(targets[x[i]], proposal, arrival_stream(
+                    derive_subseed(seed, span[i], "codebook"), "codebook", proposal))
+                k[i], y[i] = res.k, res.y
+            time0[live] = times[:, -1]
+            live = live[(stop == n) & ~zero]
+            start += n
+    return ks, ys
+
+
 def _run_range(sol, source, d, start, stop, seed):
     iota, j_x, j_xd = _tables(sol)
     rate = sol.rate
     dmat = d.d
     q = sol.output_marginal
-    targets = [sol.kernel.row(x) for x in range(len(source))]
+    targets = _targets(sol)
     out = []
-    for t in range(start, stop):
-        x = sample_pmf(source, derive_subseed(seed, t, "source").stream("draw"))
-        stream = arrival_stream(derive_subseed(seed, t, "codebook"), "codebook", q)
-        res = pfr_select(targets[x], q, stream)
-        k, y = res.k, res.y
-        log_k = math.log2(k)
-        ld = delta_code_length(k)
-        jx = float(j_x[x])
-        jxd = float(j_xd[x, y])
-        out.append(TrialRecord(
-            trial=t, x=x, y=y, k=k,
-            len_plain=k.bit_length() - 1, len_delta=ld,
-            dist=float(dmat[x, y]), iota=float(iota[x, y]), j_x=jx, j_xd=jxd,
-            prr_plain=log_k - rate, psr_plain=log_k - jx, psdr_plain=log_k - jxd,
-            prr_delta=ld - rate, psr_delta=ld - jx, psdr_delta=ld - jxd))
+    for c0 in range(start, stop, _CHUNK):
+        span = range(c0, min(c0 + _CHUNK, stop))
+        xs = sample_pmf_keys(source, span_keys(seed, span, "source", ("draw",))[0])
+        ks, ys = select_span(seed, span, targets, xs, q)
+        for t, x, y, k in zip(span, xs.tolist(), ys.tolist(), ks.tolist()):
+            log_k = math.log2(k)
+            ld = delta_code_length(k)
+            jx = float(j_x[x])
+            jxd = float(j_xd[x, y])
+            out.append(TrialRecord(
+                trial=t, x=x, y=y, k=k,
+                len_plain=k.bit_length() - 1, len_delta=ld,
+                dist=float(dmat[x, y]), iota=float(iota[x, y]), j_x=jx, j_xd=jxd,
+                prr_plain=log_k - rate, psr_plain=log_k - jx, psdr_plain=log_k - jxd,
+                prr_delta=ld - rate, psr_delta=ld - jx, psdr_delta=ld - jxd))
     return out
 
 

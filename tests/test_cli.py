@@ -259,3 +259,23 @@ class TestExitCodes:
             assert main(["redundancy-sweep", "--config", cfg, "--out",
                          str(tmp_path), "--threads", flag]) == 2
             assert "--threads" in capsys.readouterr().err
+
+    def test_gamma_grid_not_a_list_exit_2(self, tmp_path, capsys):
+        # a number used to escape as a TypeError; a string was read per character
+        for grid in (3, "12"):
+            cfg = write_config(tmp_path, bsc_config(trials=10, gamma_grid=grid))
+            assert main(["redundancy-sweep", "--config", cfg, "--out",
+                         str(tmp_path)]) == 2
+            assert "gamma_grid" in capsys.readouterr().err
+
+    def test_boolean_trials_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, bsc_config(trials=True))
+        assert main(["redundancy-sweep", "--config", cfg, "--out",
+                     str(tmp_path)]) == 2
+        assert "trials" in capsys.readouterr().err
+
+    def test_boolean_number_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, bsc_config(trials=10, target_D=True))
+        assert main(["redundancy-sweep", "--config", cfg, "--out",
+                     str(tmp_path)]) == 2
+        assert "target_D" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from pfrlab import FinitePmf, Seed, arrival_stream, derive_subseed
+from pfrlab.codebook import draw_points, stream_keys
 
 
 def take(stream, n):
@@ -36,6 +38,44 @@ class TestDeterminism:
                 break
         got += take(st, 11)
         assert got == ref
+
+
+class TestBatchedDraw:
+    """draw_points follows the stream format of next_marked_point, bit for bit."""
+
+    TRIALS = range(40, 45)
+
+    def reference(self, q, n):
+        return [take(arrival_stream(derive_subseed(Seed.from_int(9), t, "cb"), "cb", q),
+                     n) for t in self.TRIALS]
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 1000])
+    def test_equals_next_marked_point(self, n):
+        q = FinitePmf(np.array([0.1, 0.0, 0.6, 0.3]))
+        gap_keys, mark_keys = stream_keys(Seed.from_int(9), self.TRIALS, "cb")
+        times, marks, zero = draw_points(gap_keys, mark_keys, q.cumulative(), 0, n,
+                                         np.zeros(len(self.TRIALS)))
+        assert times.shape == marks.shape == (len(self.TRIALS), n)
+        assert not zero.any()
+        for row, ref in enumerate(self.reference(q, n)):
+            assert times[row].tolist() == [p.time for p in ref]
+            assert marks[row].tolist() == [p.mark for p in ref]
+
+    def test_rounds_continue_the_stream(self):
+        q = FinitePmf.uniform(5)
+        gap_keys, mark_keys = stream_keys(Seed.from_int(9), self.TRIALS, "cb")
+        time0 = np.zeros(len(self.TRIALS))
+        parts = []
+        for start, n in ((0, 16), (16, 24), (40, 8)):
+            times, marks, _ = draw_points(gap_keys, mark_keys, q.cumulative(), start,
+                                          n, time0)
+            parts.append((times, marks))
+            time0 = times[:, -1]
+        times = np.concatenate([p[0] for p in parts], axis=1)
+        marks = np.concatenate([p[1] for p in parts], axis=1)
+        for row, ref in enumerate(self.reference(q, 48)):
+            assert times[row].tolist() == [p.time for p in ref]
+            assert marks[row].tolist() == [p.mark for p in ref]
 
 
 class TestSubseeds:

@@ -2,7 +2,9 @@
 
 The digests and exit codes were recorded before the selection scan, the
 span-and-thread-pool code, the Gray-Wyner decoder sides and the bound tables
-were each reduced to one implementation.  A refactor must leave every byte
+were each reduced to one implementation; the uniform-Hamming m = 256 case
+(f_max = 128, so every scan runs over many points) was recorded before the
+sweeps moved to the batched trial engine.  A refactor must leave every byte
 unchanged, for one worker thread and for two.
 """
 
@@ -72,6 +74,9 @@ CASES = {
     "sweep-hamming64": ("redundancy-sweep", lambda: hamming(64, "0.5"), 0, {
         "tails.csv": "d5910114ddd8b7c57785524d6e4f8a76cdb34b915b973528d3c471276685ab30",
         "trials.csv": "1834ad3b2aaee1e7de17a92b18d58eb28bab7594ffebeb53b4b57ae0aa62e48b"}),
+    "sweep-hamming256": ("redundancy-sweep", lambda: hamming(256, "0.5"), 0, {
+        "tails.csv": "31f2995ec67648b2e0c2330aa65c4fc16ebf6d9e1d65d75e25576a99c6fd9b0b",
+        "trials.csv": "4a135c756610a60afedacdfa0012eb659f14fdc86c5b39908092133f368d847b"}),
     "sweep-sqerr5": ("redundancy-sweep", squared_error5, 0, {
         "tails.csv": "34e25f860426f77766d682a64b1dc70eb94c3c520036a64a1fb2799e057dc5a8",
         "trials.csv": "ee76afc1be91177dd8a464a6848c0ee1c6c55e599583e4b4b20f3b201aa34e85"}),

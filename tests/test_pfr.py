@@ -1,4 +1,6 @@
+import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +11,9 @@ from pfrlab import (AbsoluteContinuityViolated, FinitePmf, GwModel, Kernel, Seed
                     arrival_stream, derive_subseed, dominance_parameter,
                     expected_log_k_bound, geometric_parameter_exact,
                     kl_divergence, mutual_information, pfr_select)
+from pfrlab import prob, redundancy
+from pfrlab.codebook import stream_keys
+from pfrlab.redundancy import _CHUNK, select_span
 from conftest import binary_entropy
 
 TARGET = FinitePmf(np.array([0.8, 0.2]))
@@ -218,6 +223,67 @@ class TestOneScanProperty:
         x, u = divmod(pick // 2 % 9, 3)
         assert_exact_selection(side.target(x, u), side.cond_pmfs[u],
                                lambda: side.stream(u, Seed.from_int(seed)))
+
+
+def streaming(seed, trials, targets, xs, proposal):
+    """(k, y) of one streaming pfr_select per trial: the batched engine's reference."""
+    out = []
+    for t, x in zip(trials, xs):
+        r = pfr_select(targets[x], proposal, arrival_stream(
+            derive_subseed(seed, t, "codebook"), "codebook", proposal))
+        out.append((r.k, r.y))
+    return out
+
+
+class TestBatchedScanProperty:
+    @PROPERTY
+    @given(pair=pmf_pairs(), seed=st.integers(min_value=0, max_value=2**64),
+           first=st.integers(min_value=0, max_value=2**40),
+           n=st.integers(min_value=1, max_value=2 * _CHUNK + 40).filter(
+               lambda n: n % _CHUNK),
+           pick=st.integers(min_value=0, max_value=2**16))
+    def test_equals_streaming_pfr_select(self, pair, seed, first, n, pick):
+        target, proposal = pair
+        # a point mass on the least likely mark: f_max = 1 / q_min, long scans
+        sharp = FinitePmf.point_mass(int(np.argmin(proposal.probs)), len(proposal))
+        targets = [target, sharp]
+        xs = np.random.default_rng(pick).integers(0, 2, size=n)
+        trials = range(first, first + n)
+        ks, ys = select_span(Seed.from_int(seed), trials, targets, xs, proposal)
+        assert list(zip(ks.tolist(), ys.tolist())) == streaming(
+            Seed.from_int(seed), trials, targets, xs, proposal)
+
+    def test_zero_gap_falls_back_to_stream(self, monkeypatch):
+        # gap word 2^64 - 1 gives a zero gap; the stream regenerates it from
+        # the next word, so every later point of that trial moves
+        seed, trials, victim = Seed.from_int(77), range(5, 25), 15
+        target = FinitePmf(np.array([0.05, 0.15, 0.8]))
+        proposal = FinitePmf(np.array([0.5, 0.3, 0.2]))
+        # counter block 0 of the victim's gap stream starts with word 2^64 - 1,
+        # for the streaming and the batched reader alike
+        block0 = stream_keys(seed, [victim], "codebook")[0][0] + bytes(8)
+
+        def sha256(data=b""):
+            h = hashlib.sha256(data)
+            if data != block0:
+                return h
+            return SimpleNamespace(digest=lambda: b"\xff" * 8 + h.digest()[8:])
+
+        monkeypatch.setattr(prob, "hashlib", SimpleNamespace(sha256=sha256))
+        fallbacks = []
+
+        def counted(*args, **kwargs):
+            fallbacks.append(args)
+            return pfr_select(*args, **kwargs)
+
+        monkeypatch.setattr(redundancy, "pfr_select", counted)
+        xs = np.zeros(len(trials), dtype=np.int64)
+        ks, ys = select_span(seed, trials, [target], xs, proposal)
+        assert len(fallbacks) == 1
+        got = list(zip(ks.tolist(), ys.tolist()))
+        assert got == streaming(seed, trials, [target], xs, proposal)
+        monkeypatch.setattr(prob, "hashlib", hashlib)
+        assert got != streaming(seed, trials, [target], xs, proposal)
 
 
 class TestExpectedLogKBound:

@@ -8,8 +8,8 @@ deterministic functions of (config, seed).
 Exit codes:
     0  success, all requested checks pass
     1  a requested check failed (a bound or law violated empirically)
-    2  config, flag or PFRLAB_THREADS parse/validation failure, including
-       a target_D below the minimum achievable distortion
+    2  config or flag parse/validation failure, including a null required
+       field, a target_D below the minimum distortion and an unusable --out
     3  solver non-convergence
     4  gray-wyner round-trip mismatch (internal invariant breach)
 """
@@ -29,8 +29,8 @@ from .gray_wyner import GwModel, gw_decode, gw_records_to_csv, gw_run_trials
 from .pfr import dominance_parameter, geometric_parameter_exact, pfr_select
 from .prob import DistortionMatrix, FinitePmf, Kernel, Seed, kl_divergence
 from .rd import ba_fixed_slope, solve_at_distortion
-from .redundancy import (CODE_KINDS, ETA_KINDS, bound_rhs, estimate_tail,
-                         records_to_csv, run_trials, select_span)
+from .redundancy import (CODE_KINDS, ETA_KINDS, bound_rhs, chunk_spans,
+                         estimate_tail, records_to_csv, run_trials, select_span)
 
 
 class ConfigError(PfrlabError):
@@ -120,8 +120,8 @@ def load_config(path: str, mode: str, trials_override=None,
     overrides = {"trials": trials_override, "seed": seed_override}
     raw.update((k, v) for k, v in overrides.items() if v is not None)
     for field in _REQUIRED[mode]:
-        if field not in raw:
-            raise ConfigError(field, "required for this mode but missing")
+        if raw.get(field) is None:
+            raise ConfigError(field, "required for this mode but missing or null")
 
     source = _pmf(raw["source"], "source") if "source" in raw else None
     distortion = None
@@ -248,8 +248,9 @@ def cmd_verify_pfr(cfg: ExperimentConfig, out_dir: str) -> int:
         return pfr_select(target, proposal, stream, **kwargs)
 
     # the batched engine; the replay checks below rerun trials with pfr_select
-    ks, ys = select_span(seed, range(n), [target], np.zeros(n, dtype=np.int64),
-                         proposal)
+    parts = [select_span(seed, span, [target], np.zeros(len(span), dtype=np.int64),
+                         proposal) for span in chunk_spans(n)]
+    ks, ys = (np.concatenate(col) for col in zip(*parts))
     m = len(target)
     checks = []
 
@@ -303,13 +304,12 @@ def cmd_verify_pfr(cfg: ExperimentConfig, out_dir: str) -> int:
     return 0 if all(c[3] for c in checks) else 1
 
 
-def cmd_redundancy_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
+def cmd_redundancy_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     try:
         sol = solve_at_distortion(cfg.source, cfg.distortion, cfg.target_D)
     except TargetOutOfRange as e:
         raise ConfigError("target_D", str(e)) from None
-    records = run_trials(sol, cfg.source, cfg.distortion, cfg.trials, cfg.seed,
-                         threads=threads)
+    records = run_trials(sol, cfg.source, cfg.distortion, cfg.trials, cfg.seed)
     with open(os.path.join(out_dir, "trials.csv"), "w") as fh:
         records_to_csv(records, fh)
     lines = ["eta_kind,code_kind,gamma,p_hat,std_err,bound_rhs"]
@@ -326,9 +326,9 @@ def cmd_redundancy_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> i
     return 0 if ok else 1
 
 
-def cmd_gray_wyner(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
+def cmd_gray_wyner(cfg: ExperimentConfig, out_dir: str) -> int:
     model, seed, n = cfg.gw_model, cfg.seed, cfg.trials
-    records = gw_run_trials(model, n, seed, threads=threads)
+    records = gw_run_trials(model, n, seed)
     for r in records:
         dec = gw_decode(model, r.k0, r.k1, r.k2, derive_subseed(seed, r.trial, "gw"))
         if dec != (r.u, r.y1, r.y2):
@@ -365,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to JSON config")
         p.add_argument("--out", default=".", help="output directory for CSVs")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads, at most one per CPU "
-                            "(default: PFRLAB_THREADS or 1)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; trials run on one "
+                            "thread whatever the value (must be >= 1)")
         p.add_argument("--trials", type=int, default=None,
                        help="override config trial count")
         p.add_argument("--seed", default=None,
@@ -375,30 +375,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _threads(flag) -> int:
-    """--threads, else PFRLAB_THREADS, else 1; must be an integer >= 1."""
-    field, raw = ("--threads", flag) if flag is not None else (
-        "PFRLAB_THREADS", os.environ.get("PFRLAB_THREADS", "1"))
-    threads = _build(int, field, raw)
-    if threads < 1:
-        raise ConfigError(field, f"must be >= 1, got {threads}")
-    return threads
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        threads = _threads(args.threads)
+        if args.threads < 1:
+            raise ConfigError("--threads", f"must be >= 1, got {args.threads}")
         cfg = load_config(args.config, args.command, trials_override=args.trials,
                           seed_override=args.seed)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as e:
+            raise ConfigError("--out", f"cannot create directory: {e}") from None
         if args.command == "rd-curve":
             return cmd_rd_curve(cfg, args.out)
         if args.command == "verify-pfr":
             return cmd_verify_pfr(cfg, args.out)
         if args.command == "redundancy-sweep":
-            return cmd_redundancy_sweep(cfg, args.out, threads)
-        return cmd_gray_wyner(cfg, args.out, threads)
+            return cmd_redundancy_sweep(cfg, args.out)
+        return cmd_gray_wyner(cfg, args.out)
     except ConfigError as e:
         print(str(e), file=sys.stderr)
         return 2

@@ -92,8 +92,8 @@ def draw_points(gap_keys, mark_keys, cum: np.ndarray, start: int, n: int,
 class CodebookStream:
     """Marked Poisson process with rate 1 and marks i.i.d. mark_law.
 
-    Single-owner mutable state (cursor); distinct streams may be advanced
-    concurrently.  Use :func:`arrival_stream` to construct one.
+    Single-owner mutable state (cursor); distinct streams are independent of
+    each other.  Use :func:`arrival_stream` to construct one.
     """
 
     def __init__(self, seed: Seed, label: str, mark_law: FinitePmf):

@@ -22,8 +22,8 @@ import numpy as np
 from .codebook import CodebookStream, MarkedPoint, arrival_stream, derive_subseed
 from .errors import UnsupportedPoint
 from .pfr import pfr_select
-from .prob import FinitePmf, Kernel, Seed, SymbolId, kl_divergence, sample_pmf
-from .redundancy import run_spans
+from .prob import FinitePmf, Kernel, Seed, SymbolId, kl_divergence
+from .redundancy import trial_chunks
 
 GW_CSV_HEADER = "trial,x1,x2,u,y1,y2,k0,k1,k2,len0,len1,len2"
 
@@ -292,25 +292,19 @@ class GwTrialRecord:
     len2: int
 
 
-def _gw_run_range(model, start, stop, seed):
-    out = []
-    for t in range(start, stop):
-        pair = sample_pmf(model.source_pmf,
-                          derive_subseed(seed, t, "source").stream("draw"))
-        x1, x2 = divmod(pair, model.n2)
-        res = gw_encode(model, x1, x2, derive_subseed(seed, t, "gw"))
-        out.append(GwTrialRecord(
-            trial=t, x1=x1, x2=x2, u=res.u, y1=res.y1, y2=res.y2,
-            k0=res.k0, k1=res.k1, k2=res.k2,
-            len0=res.k0.bit_length() - 1, len1=res.k1.bit_length() - 1,
-            len2=res.k2.bit_length() - 1))
-    return out
-
-
-def gw_run_trials(model: GwModel, n: int, seed: Seed, threads: int = 1) -> list:
+def gw_run_trials(model: GwModel, n: int, seed: Seed) -> list:
     """n encode trials with source pairs drawn from the model; deterministic."""
-    return run_spans(lambda start, stop: _gw_run_range(model, start, stop, seed),
-                     n, threads)
+    out = []
+    for span, pairs in trial_chunks(model.source_pmf, seed, n):
+        for t, pair in zip(span, pairs.tolist()):
+            x1, x2 = divmod(pair, model.n2)
+            res = gw_encode(model, x1, x2, derive_subseed(seed, t, "gw"))
+            out.append(GwTrialRecord(
+                trial=t, x1=x1, x2=x2, u=res.u, y1=res.y1, y2=res.y2,
+                k0=res.k0, k1=res.k1, k2=res.k2,
+                len0=res.k0.bit_length() - 1, len1=res.k1.bit_length() - 1,
+                len2=res.k2.bit_length() - 1))
+    return out
 
 
 def gw_records_to_csv(records, fh) -> None:

@@ -3,7 +3,7 @@
 Distributions, conditional kernels, information measures (all in bits), and
 seeded sampling.  Randomness is counter-based and splittable: every stream is
 SHA-256 in counter mode keyed by (seed, labels...), so sub-streams are
-reproducible and order-independent no matter how trials are scheduled.
+reproducible and independent of the order in which trials are run.
 """
 
 import hashlib

@@ -14,8 +14,9 @@ Elias delta codeword length for the prefix-free one.  Tail fractions of each
 redundancy are compared against exact finite-alphabet evaluations of the
 corresponding upper bounds.
 
-Trials are embarrassingly parallel: every trial derives its own seed, so
-records are identical regardless of scheduling and are merged by trial index.
+Every trial derives its own seed from (seed, trial index), so records do not
+depend on how trials are grouped; one single-threaded loop over
+:func:`trial_chunks` drives both the sweep here and the Gray-Wyner trials.
 
 The trial engine works on chunks of _CHUNK trials.  For a chunk it derives
 every trial's keys in one pass, draws the source symbols at once, and runs
@@ -27,8 +28,6 @@ falls back to it for a trial whose drawn gaps hold a zero.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -113,23 +112,18 @@ def _targets(sol: RdSolution) -> tuple:
     return tuple(sol.kernel.row(x) for x in range(sol.kernel.shape[0]))
 
 
-def worker_count(threads: int, n: int) -> int:
-    """Threads a run of n trials starts: at most one per trial and one per CPU."""
-    return max(1, min(threads, n, os.cpu_count() or 1))
-
-
-def run_spans(run_range, n: int, threads: int) -> list:
-    """run_range(start, stop) over contiguous spans of [0, n), merged in trial order."""
+def chunk_spans(n: int):
+    """The _CHUNK-trial spans of range(n), in order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    workers = worker_count(threads, n)
-    if workers == 1:
-        return run_range(0, n)
-    chunk = (n + workers - 1) // workers
-    spans = [(i, min(i + chunk, n)) for i in range(0, n, chunk)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(lambda span: run_range(*span), spans)
-        return [rec for part in parts for rec in part]
+    return (range(c, min(c + _CHUNK, n)) for c in range(0, n, _CHUNK))
+
+
+def trial_chunks(source: FinitePmf, seed: Seed, n: int):
+    """(span, xs) per span of chunk_spans(n); xs are the trials' source draws."""
+    for span in chunk_spans(n):
+        keys = span_keys(seed, span, "source", ("draw",))[0]
+        yield span, sample_pmf_keys(source, keys)
 
 
 def _round_points(f_max: float) -> int:
@@ -142,58 +136,53 @@ def _round_points(f_max: float) -> int:
     return _BLOCK * math.ceil(0.75 * (f_max + 1.0) / _BLOCK)
 
 
-def select_span(seed: Seed, trials: range, targets, xs, proposal: FinitePmf):
+def select_span(seed: Seed, span: range, targets, xs, proposal: FinitePmf):
     """(k, y) arrays of pfr_select(targets[xs[i]], proposal, stream i), batched.
 
-    Stream i is arrival_stream(derive_subseed(seed, trials[i], "codebook"),
+    Stream i is arrival_stream(derive_subseed(seed, span[i], "codebook"),
     "codebook", proposal).  The results equal the streaming scan's, bit for
-    bit.
+    bit.  The working arrays grow with the span; the drivers pass one chunk.
     """
     f, f_max = _ratio_rows(tuple(targets), proposal)
     cum = proposal.cumulative()
-    ks = np.zeros(len(trials), dtype=np.int64)
-    ys = np.zeros(len(trials), dtype=np.int64)
-    for c0 in range(0, len(trials), _CHUNK):
-        span = trials[c0:c0 + _CHUNK]
-        gap_keys, mark_keys = stream_keys(seed, span, "codebook")
-        # k and y are views: the chunk's results land in ks and ys
-        x, k, y = xs[c0:c0 + _CHUNK], ks[c0:c0 + _CHUNK], ys[c0:c0 + _CHUNK]
-        scale = f_max[x]
-        best = np.full(len(span), math.inf)
-        time0 = np.zeros(len(span))
-        live = np.arange(len(span))
-        start, n = 0, _round_points(float(scale.max()))
-        while live.size:
-            times, marks, zero = draw_points([gap_keys[i] for i in live],
-                                             [mark_keys[i] for i in live],
-                                             cum, start, n, time0[live])
-            stop, col, score = pfr_scan_rows(f[x[live, None], marks], times,
-                                             scale[live], best[live])
-            better = score < best[live]
-            won = live[better]
-            best[won] = score[better]
-            k[won] = start + col[better] + 1
-            y[won] = marks[better, col[better]]
-            for i in live[zero]:
-                res = pfr_select(targets[x[i]], proposal, arrival_stream(
-                    derive_subseed(seed, span[i], "codebook"), "codebook", proposal))
-                k[i], y[i] = res.k, res.y
-            time0[live] = times[:, -1]
-            live = live[(stop == n) & ~zero]
-            start += n
-    return ks, ys
+    gap_keys, mark_keys = stream_keys(seed, span, "codebook")
+    k, y = np.zeros((2, len(span)), dtype=np.int64)
+    scale = f_max[xs]
+    best = np.full(len(span), math.inf)
+    time0 = np.zeros(len(span))
+    live = np.arange(len(span))
+    start, n = 0, _round_points(float(scale.max()))
+    while live.size:
+        times, marks, zero = draw_points([gap_keys[i] for i in live],
+                                         [mark_keys[i] for i in live],
+                                         cum, start, n, time0[live])
+        stop, col, score = pfr_scan_rows(f[xs[live, None], marks], times,
+                                         scale[live], best[live])
+        better = score < best[live]
+        won = live[better]
+        best[won] = score[better]
+        k[won] = start + col[better] + 1
+        y[won] = marks[better, col[better]]
+        for i in live[zero]:
+            res = pfr_select(targets[xs[i]], proposal, arrival_stream(
+                derive_subseed(seed, span[i], "codebook"), "codebook", proposal))
+            k[i], y[i] = res.k, res.y
+        time0[live] = times[:, -1]
+        live = live[(stop == n) & ~zero]
+        start += n
+    return k, y
 
 
-def _run_range(sol, source, d, start, stop, seed):
+def run_trials(sol: RdSolution, source: FinitePmf, d: DistortionMatrix,
+               n: int, seed: Seed) -> list:
+    """n independent trials of the one-shot scheme; deterministic in (seed, n)."""
     iota, j_x, j_xd = _tables(sol)
     rate = sol.rate
     dmat = d.d
     q = sol.output_marginal
     targets = _targets(sol)
     out = []
-    for c0 in range(start, stop, _CHUNK):
-        span = range(c0, min(c0 + _CHUNK, stop))
-        xs = sample_pmf_keys(source, span_keys(seed, span, "source", ("draw",))[0])
+    for span, xs in trial_chunks(source, seed, n):
         ks, ys = select_span(seed, span, targets, xs, q)
         for t, x, y, k in zip(span, xs.tolist(), ys.tolist(), ks.tolist()):
             log_k = math.log2(k)
@@ -207,13 +196,6 @@ def _run_range(sol, source, d, start, stop, seed):
                 prr_plain=log_k - rate, psr_plain=log_k - jx, psdr_plain=log_k - jxd,
                 prr_delta=ld - rate, psr_delta=ld - jx, psdr_delta=ld - jxd))
     return out
-
-
-def run_trials(sol: RdSolution, source: FinitePmf, d: DistortionMatrix,
-               n: int, seed: Seed, threads: int = 1) -> list:
-    """n independent trials of the one-shot scheme; deterministic in (seed, n)."""
-    return run_spans(lambda start, stop: _run_range(sol, source, d, start, stop, seed),
-                     n, threads)
 
 
 def _check_kinds(eta_kind: str, code_kind: str) -> None:
@@ -277,8 +259,9 @@ def bound_rhs(sol: RdSolution, source: FinitePmf, d: DistortionMatrix,
     if variant == "clipped":
         term = np.exp2(-eta - gamma + 1.0) * (np.exp2(iota) + 1.0)
         return float(np.dot(weights, np.minimum(term, 1.0)))
+    # [.]_+ is capped so its square stays finite: past 1e150 the 2^-g factor is 0
     if variant == "prefix":
-        plus = np.maximum(eta + gamma, 0.0)
+        plus = np.clip(eta + gamma, 0.0, 1e150)
         term = (np.exp2(-eta - gamma + 2.0) * (plus + 1.0) ** 2
                 * (np.exp2(iota) + 1.0))
         return float(np.dot(weights, np.minimum(term, 1.0)))
@@ -288,7 +271,7 @@ def bound_rhs(sol: RdSolution, source: FinitePmf, d: DistortionMatrix,
         return float(2.0 ** (-gamma + 1.0)
                      * (1.0 + np.dot(weights, np.exp2(-iota))))
     if variant == "psdr_prefix":
-        plus = np.maximum(iota + gamma, 0.0)
+        plus = np.clip(iota + gamma, 0.0, 1e150)
         return float(2.0 ** (-gamma + 3.0) * np.dot(weights, (plus + 1.0) ** 2))
     raise ValueError(f"unknown bound variant {variant!r}")
 

@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from pfrlab.cli import main
 from conftest import binary_entropy
@@ -101,14 +104,21 @@ class TestRedundancySweep:
                      "--threads", "4"]) == 0
         assert (out1 / "trials.csv").read_bytes() == (out2 / "trials.csv").read_bytes()
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, bsc_config(trials=400))
-        out1 = tmp_path / "e1"
-        out2 = tmp_path / "e3"
-        assert main(["redundancy-sweep", "--config", cfg, "--out", str(out1)]) == 0
-        monkeypatch.setenv("PFRLAB_THREADS", "3")
-        assert main(["redundancy-sweep", "--config", cfg, "--out", str(out2)]) == 0
-        assert (out1 / "trials.csv").read_bytes() == (out2 / "trials.csv").read_bytes()
+    def test_threads_env_not_read(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PFRLAB_THREADS", "two")
+        cfg = write_config(tmp_path, bsc_config(trials=10))
+        assert main(["redundancy-sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+    def test_huge_gamma_bound_is_finite(self, tmp_path):
+        # ([eta+g]_+ + 1)^2 * 2^-g used to be inf * 0 = NaN in the delta rows
+        demo = json.loads((Path(__file__).parents[1] / "demos" / "bsc_sweep.json")
+                          .read_text())
+        cfg = write_config(tmp_path, dict(demo, trials=500, gamma_grid=["1e200"]))
+        assert main(["redundancy-sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        _, rows = read_rows(tmp_path / "tails.csv")
+        assert len(rows) == 6
+        for r in rows:
+            assert r[2] == "1e+200" and float(r[3]) == 0.0 and float(r[5]) == 0.0
 
     def test_trials_override_and_single_trial(self, tmp_path):
         cfg = write_config(tmp_path, bsc_config())
@@ -246,13 +256,6 @@ class TestExitCodes:
         assert main(["verify-pfr", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "pfr.proposal" in capsys.readouterr().err
 
-    def test_non_integer_threads_env_exit_2(self, tmp_path, capsys, monkeypatch):
-        cfg = write_config(tmp_path, bsc_config(trials=10))
-        monkeypatch.setenv("PFRLAB_THREADS", "two")
-        assert main(["redundancy-sweep", "--config", cfg, "--out",
-                     str(tmp_path)]) == 2
-        assert "PFRLAB_THREADS" in capsys.readouterr().err
-
     def test_threads_below_one_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, bsc_config(trials=10))
         for flag in ("0", "-3"):
@@ -279,3 +282,21 @@ class TestExitCodes:
         assert main(["redundancy-sweep", "--config", cfg, "--out",
                      str(tmp_path)]) == 2
         assert "target_D" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["redundancy-sweep", "verify-pfr", "gray-wyner"])
+    @pytest.mark.parametrize("field", ["seed", "trials"])
+    def test_null_required_field_exit_2(self, tmp_path, capsys, mode, field):
+        # null used to escape as an AttributeError (seed) or a TypeError (trials)
+        payload = (TestGrayWyner.gw_payload(trials=10) if mode == "gray-wyner"
+                   else bsc_config(trials=10))
+        payload[field] = None
+        cfg = write_config(tmp_path, payload)
+        assert main([mode, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
+    def test_out_is_a_file_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, bsc_config(trials=10))
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["redundancy-sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert "--out" in capsys.readouterr().err

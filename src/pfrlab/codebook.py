@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .prob import (FinitePmf, Seed, SymbolId, _encode_label, _kdf, key_words,
-                   unit_interval, unit_interval_oc)
+from .prob import (FinitePmf, Seed, SymbolId, _counter_blocks, _encode_label, _kdf,
+                   key_words, unit_interval, unit_interval_oc)
 
 _BLOCK = 8
 
@@ -60,9 +60,11 @@ def span_keys(seed: Seed, trials, role: str, *labels) -> list:
     return out
 
 
-def stream_keys(seed: Seed, trials, label: str) -> tuple:
-    """Gap and mark keys of arrival_stream(derive_subseed(seed, t, label), label, .)."""
-    return tuple(span_keys(seed, trials, label, (label, "gaps"), (label, "marks")))
+def stream_keys(seed: Seed, trials, role: str, *labels) -> tuple:
+    """Gap and mark keys of arrival_stream(derive_subseed(seed, t, role), label, .)
+    for each label in turn (default: role itself), t in trials."""
+    parts = [(label, part) for label in labels or (role,) for part in ("gaps", "marks")]
+    return tuple(span_keys(seed, trials, role, *parts))
 
 
 def draw_points(gap_keys, mark_keys, cum: np.ndarray, start: int, n: int,
@@ -87,6 +89,15 @@ def draw_points(gap_keys, mark_keys, cum: np.ndarray, start: int, n: int,
     marks = np.searchsorted(cum, unit_interval(key_words(mark_keys, first, count)),
                             side="right")[:, :n]
     return times, marks, ~gaps.all(axis=1)
+
+
+def nth_marks(mark_keys, ks: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """The mark of point ks[i] of stream i: mark word ks[i] - 1, whatever the gaps."""
+    buf = b"".join([_counter_blocks(key, (k - 1) // 4, 1)
+                    for key, k in zip(mark_keys, ks.tolist())])
+    words = np.frombuffer(buf, dtype=">u8").reshape(-1, 4)
+    return np.searchsorted(cum, unit_interval(words[np.arange(len(ks)), (ks - 1) % 4]),
+                           side="right")
 
 
 class CodebookStream:

@@ -10,20 +10,27 @@ marked Poisson process whose marks follow the conditional law given u.
 
 Encoder and decoder share only the seed; replaying the streams reproduces
 the identical selections, so decoding is exact.
-"""
+
+gw_encode and gw_decode run one trial, re-sorting through a heap.  Batched,
+gw_run_trials and gw_decode_trials run a chunk of trials to the same results:
+the common index on redundancy.select_span, each private one on rounds of base
+points scanned in re-sorted order.  The gray-wyner command decodes every trial
+so, and replays its first 32 through gw_encode and gw_decode as a check."""
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .codebook import CodebookStream, MarkedPoint, arrival_stream, derive_subseed
+from .codebook import (CodebookStream, MarkedPoint, arrival_stream, derive_subseed,
+                       nth_marks, stream_keys)
 from .errors import UnsupportedPoint
-from .pfr import pfr_select
+from .pfr import pfr_scan_rows, pfr_select
 from .prob import FinitePmf, Kernel, Seed, SymbolId, kl_divergence
-from .redundancy import trial_chunks
+from .redundancy import (_round_points, chunk_spans, scan_rounds, select_span,
+                         trial_chunks)
 
 GW_CSV_HEADER = "trial,x1,x2,u,y1,y2,k0,k1,k2,len0,len1,len2"
 
@@ -194,27 +201,19 @@ class GwSide:
 
     kernel rows are indexed by x_i * nu + u and p_x_u is the joint law of
     (x_i, u).  Holds p_y, p(y | u) with its pmfs, the iota(u; y) table that
-    drives the time rescaling, and the re-sort tables for each u.
+    drives the time rescaling, the re-sort tables for each u, and the density
+    ratios of the targets against p(y | u).
     """
 
     def __init__(self, p_x_u: np.ndarray, kernel: Kernel, label: str):
-        nx, nu = p_x_u.shape
-        ny = kernel.shape[1]
-        self.p_x_u = p_x_u
-        self.nu = nu
-        self.label = label
+        (nx, nu), ny = p_x_u.shape, kernel.shape[1]
+        self.p_x_u, self.nu, self.label = p_x_u, nu, label
         self.rows = tuple(kernel.row(i) for i in range(kernel.shape[0]))
-        joint_uy = np.zeros((nu, ny))
-        for x in range(nx):
-            for u in range(nu):
-                joint_uy[u] += p_x_u[x, u] * kernel.rows[x * nu + u]
-        cond = np.empty((nu, ny))
-        for u in range(nu):
-            s = joint_uy[u].sum()
-            if s > 0:
-                cond[u] = joint_uy[u] / s
-            else:
-                cond[u] = 1.0 / ny  # unreachable u; placeholder row
+        # a sum over x in order, as a loop over x adds (numpy's may pair terms)
+        joint_uy = sum((p_x_u.reshape(-1, 1) * kernel.rows).reshape(nx, nu, ny))
+        s = joint_uy.sum(axis=1, keepdims=True)
+        # an unreachable u gets a uniform placeholder row
+        cond = np.divide(joint_uy, s, out=np.full((nu, ny), 1.0 / ny), where=s > 0)
         self.p_y = FinitePmf(joint_uy.sum(axis=0))
         self.p_y_given_u = cond
         self.cond_pmfs = tuple(FinitePmf(row) for row in cond)
@@ -226,6 +225,10 @@ class GwSide:
                                                    where=p_y > 0)),
                                  -np.inf)
         self.resort = tuple(resort_tables(self.p_y, row) for row in self.iota)
+        self.scale, self.r = (np.array(a) for a in zip(*self.resort))
+        q = np.tile(cond, (nx, 1))  # row x * nu + u: p(y | u), the proposal
+        self.f = np.divide(kernel.rows, q, out=np.zeros_like(q), where=q > 0)
+        self.f_max = self.f.max(axis=1)
 
     def target(self, x: SymbolId, u: SymbolId) -> FinitePmf:
         """The kernel row of (x_i, u): the law y_i is selected from."""
@@ -236,11 +239,50 @@ class GwSide:
         return ResortedStream(arrival_stream(seed, self.label, self.p_y),
                               *self.resort[u], self.cond_pmfs[u])
 
+    def scan_span(self, keys, us, fallback, xs=None, ks=None) -> tuple:
+        """(k, y) of gw_encode's selection on this side for rows (xs, us), or of
+        gw_decode's point ks[i] for rows (us, ks); a zero gap sends row i to fallback.
+
+        Rounds add base points to each live row, kept in (tau, base index)
+        order, tau = t * scale[u][mark] (inf: never released).  Encoding runs
+        pfr_scan_rows over them until the raw frontier reaches r * f_max * best;
+        decoding until frontier / r reaches tau of point ks[i], as the heap does.
+        """
+        r = self.r[us]
+        if ks is None:
+            rows = xs * self.nu + us
+            bound = r * self.f_max[rows]
+        k, y = np.zeros((2, len(us)), dtype=np.int64)
+        drawn = []
+
+        def step(live, start, times, marks):
+            new = times * self.scale[us[live, None], marks], marks
+            if drawn:
+                at = np.searchsorted(drawn[0], live)
+                new = [np.concatenate([a[at], b], axis=1) for a, b in zip(drawn[1:], new)]
+            at = np.arange(live.size)[:, None], np.argsort(new[0], axis=1, kind="stable")
+            drawn[:] = live, tau, marks = live, new[0][at], new[1][at]
+            at, frontier = np.arange(live.size), times[:, -1]
+            if ks is None:
+                _, col, best = pfr_scan_rows(self.f[rows[live, None], marks], tau,
+                                             self.f_max[rows[live]],
+                                             np.full(live.size, math.inf))
+                done = frontier >= bound[live] * best
+            else:
+                col = np.minimum(ks[live], tau.shape[1]) - 1
+                done = (ks[live] <= tau.shape[1]) & (tau[at, col] <= frontier / r[live])
+            k[live], y[live] = col + 1, marks[at, col]
+            return ~done
+
+        n = bound.max() if ks is None else np.mean(r * ks)
+        scan_rounds(keys, self.p_y.cumulative(), _round_points(float(n)), step, fallback)
+        return k, y
+
 
 def gw_encode(model: GwModel, x1: SymbolId, x2: SymbolId, seed: Seed) -> GwResult:
     """Three-index encoding of the source pair under the shared seed."""
-    s_u = arrival_stream(seed, "gw-u", model.p_u)
-    r0 = pfr_select(model.u_target(x1, x2), model.p_u, s_u)
+    r0 = pfr_select(model.u_target(x1, x2), model.p_u,
+                    arrival_stream(seed, "gw-u", model.p_u))
     u = r0.y
     r1, r2 = (pfr_select(side.target(x, u), side.cond_pmfs[u], side.stream(u, seed))
               for side, x in zip(model.sides, (x1, x2)))
@@ -293,17 +335,40 @@ class GwTrialRecord:
 
 
 def gw_run_trials(model: GwModel, n: int, seed: Seed) -> list:
-    """n encode trials with source pairs drawn from the model; deterministic."""
+    """n trials of gw_encode(model, x1, x2, derive_subseed(seed, t, "gw")), with
+    source pairs drawn from the model, a chunk at once; zero gaps rerun a trial."""
+    # a pair of probability 0 is never drawn; p_u stands in for its u-target
+    u_rows = [row if w > 0 else model.p_u
+              for row, w in zip(model._u_rows, model.source_pmf.probs)]
     out = []
     for span, pairs in trial_chunks(model.source_pmf, seed, n):
-        for t, pair in zip(span, pairs.tolist()):
-            x1, x2 = divmod(pair, model.n2)
-            res = gw_encode(model, x1, x2, derive_subseed(seed, t, "gw"))
-            out.append(GwTrialRecord(
-                trial=t, x1=x1, x2=x2, u=res.u, y1=res.y1, y2=res.y2,
-                k0=res.k0, k1=res.k1, k2=res.k2,
-                len0=res.k0.bit_length() - 1, len1=res.k1.bit_length() - 1,
-                len2=res.k2.bit_length() - 1))
+        keys, zero = stream_keys(seed, span, "gw", "gw-u", "gw-y1", "gw-y2"), set()
+        k0, u = select_span(seed, span, u_rows, pairs, model.p_u,
+                            role="gw", label="gw-u", keys=keys[:2])
+        x1, x2 = np.divmod(pairs, model.n2)
+        (k1, y1), (k2, y2) = (side.scan_span(kk, u, zero.add, xs=x) for side, kk, x
+                              in zip(model.sides, (keys[2:4], keys[4:]), (x1, x2)))
+        for i in zero:
+            res = gw_encode(model, int(x1[i]), int(x2[i]),
+                            derive_subseed(seed, span[i], "gw"))
+            k0[i], k1[i], k2[i], u[i], y1[i], y2[i] = astuple(res)
+        for t, *row in zip(span, *(a.tolist() for a in (x1, x2, u, y1, y2, k0, k1, k2))):
+            out.append(GwTrialRecord(t, *row, *(k.bit_length() - 1 for k in row[-3:])))
+    return out
+
+
+def gw_decode_trials(model: GwModel, seed: Seed, ks: np.ndarray) -> np.ndarray:
+    """(u, y1, y2) of gw_decode(model, *ks[t], derive_subseed(seed, t, "gw")) for
+    each row t of the (n, 3) array ks, a chunk at once; zero gaps rerun a trial."""
+    out = np.empty(ks.shape, dtype=np.int64)
+    for span in chunk_spans(len(ks)):
+        keys, zero = stream_keys(seed, span, "gw", "gw-u", "gw-y1", "gw-y2"), set()
+        k0, k1, k2 = ks[span.start:span.stop].T
+        u = out[span, 0] = nth_marks(keys[1], k0, model.p_u.cumulative())
+        for i, side, kk, k in zip((1, 2), model.sides, (keys[2:4], keys[4:]), (k1, k2)):
+            out[span, i] = side.scan_span(kk, u, zero.add, ks=k)[1]
+        for t in (span[i] for i in zero):
+            out[t] = gw_decode(model, *ks[t].tolist(), derive_subseed(seed, t, "gw"))
     return out
 
 

@@ -20,11 +20,12 @@ depend on how trials are grouped; one single-threaded loop over
 
 The trial engine works on chunks of _CHUNK trials.  For a chunk it derives
 every trial's keys in one pass, draws the source symbols at once, and runs
-the selections side by side (:func:`select_span`): each round draws the
-next points of every unfinished scan and applies the stop rule to all of
-them with pfr_scan_rows.  The records equal those of one pfr_select per
-trial, bit for bit; pfr_select stays the streaming path, and the engine
-falls back to it for a trial whose drawn gaps hold a zero.
+the selections side by side (:func:`select_span`): each round of
+:func:`scan_rounds` draws the next points of every unfinished scan and
+applies the stop rule to all of them with pfr_scan_rows.  The records equal
+those of one pfr_select per trial, bit for bit; the engine falls back to
+pfr_select for a trial whose drawn gaps hold a zero.  The Gray-Wyner common
+index runs on select_span too, and its private indices on scan_rounds.
 """
 
 import math
@@ -136,26 +137,38 @@ def _round_points(f_max: float) -> int:
     return _BLOCK * math.ceil(0.75 * (f_max + 1.0) / _BLOCK)
 
 
-def select_span(seed: Seed, span: range, targets, xs, proposal: FinitePmf):
-    """(k, y) arrays of pfr_select(targets[xs[i]], proposal, stream i), batched.
-
-    Stream i is arrival_stream(derive_subseed(seed, span[i], "codebook"),
-    "codebook", proposal).  The results equal the streaming scan's, bit for
-    bit.  The working arrays grow with the span; the drivers pass one chunk.
-    """
-    f, f_max = _ratio_rows(tuple(targets), proposal)
-    cum = proposal.cumulative()
-    gap_keys, mark_keys = stream_keys(seed, span, "codebook")
-    k, y = np.zeros((2, len(span)), dtype=np.int64)
-    scale = f_max[xs]
-    best = np.full(len(span), math.inf)
-    time0 = np.zeros(len(span))
-    live = np.arange(len(span))
-    start, n = 0, _round_points(float(scale.max()))
+def scan_rounds(keys, cum: np.ndarray, n: int, step, fallback) -> None:
+    """Rounds of the next n points of each live stream i of a chunk (gap key
+    keys[0][i], mark key keys[1][i]) until step(live, start, times, marks) says
+    it needs no more; a zero gap sends it to fallback(i), the streaming path."""
+    gap_keys, mark_keys = keys
+    live, time0, start = np.arange(len(gap_keys)), np.zeros(len(gap_keys)), 0
     while live.size:
         times, marks, zero = draw_points([gap_keys[i] for i in live],
                                          [mark_keys[i] for i in live],
                                          cum, start, n, time0[live])
+        more = step(live, start, times, marks)
+        for i in live[zero]:
+            fallback(i)
+        time0[live] = times[:, -1]
+        live = live[more & ~zero]
+        start += n
+
+
+def select_span(seed: Seed, span, targets, xs, proposal: FinitePmf,
+                role: str = "codebook", label: str = "codebook", keys=None):
+    """(k, y) arrays of pfr_select(targets[xs[i]], proposal, stream i), batched.
+
+    Stream i is arrival_stream(derive_subseed(seed, span[i], role), label,
+    proposal), keys its stream_keys if given.  The results equal the streaming
+    scan's, bit for bit.  The working arrays grow with the span (one chunk).
+    """
+    f, f_max = _ratio_rows(tuple(targets), proposal)
+    k, y = np.zeros((2, len(span)), dtype=np.int64)
+    scale = f_max[xs]
+    best = np.full(len(span), math.inf)
+
+    def step(live, start, times, marks):
         stop, col, score = pfr_scan_rows(f[xs[live, None], marks], times,
                                          scale[live], best[live])
         better = score < best[live]
@@ -163,13 +176,15 @@ def select_span(seed: Seed, span: range, targets, xs, proposal: FinitePmf):
         best[won] = score[better]
         k[won] = start + col[better] + 1
         y[won] = marks[better, col[better]]
-        for i in live[zero]:
-            res = pfr_select(targets[xs[i]], proposal, arrival_stream(
-                derive_subseed(seed, span[i], "codebook"), "codebook", proposal))
-            k[i], y[i] = res.k, res.y
-        time0[live] = times[:, -1]
-        live = live[(stop == n) & ~zero]
-        start += n
+        return stop == times.shape[1]
+
+    def fallback(i):
+        res = pfr_select(targets[xs[i]], proposal, arrival_stream(
+            derive_subseed(seed, span[i], role), label, proposal))
+        k[i], y[i] = res.k, res.y
+
+    scan_rounds(keys or stream_keys(seed, span, role, label), proposal.cumulative(),
+                _round_points(float(scale.max())), step, fallback)
     return k, y
 
 
@@ -219,6 +234,11 @@ def estimate_tail(records, eta_kind: str, code_kind: str,
                         std_err=math.sqrt(p_hat * (1.0 - p_hat) / n), n=n)
 
 
+def _exp2(e: float) -> float:
+    """2.0 ** e, or +inf (a valid bound) where that overflows; times a float, too."""
+    return 2.0 ** e if e < 1024.0 else math.inf
+
+
 def bound_rhs(sol: RdSolution, source: FinitePmf, d: DistortionMatrix,
               eta_kind: str, code_kind: str, gamma: float,
               variant: str = "") -> float:
@@ -254,8 +274,8 @@ def bound_rhs(sol: RdSolution, source: FinitePmf, d: DistortionMatrix,
         eta = j_xd[mask]
 
     if variant == "general":
-        return float(2.0 ** (-gamma + 1.0)
-                     * np.dot(weights, np.exp2(-eta) * (np.exp2(iota) + 1.0)))
+        return _exp2(-gamma + 1.0) * float(
+            np.dot(weights, np.exp2(-eta) * (np.exp2(iota) + 1.0)))
     if variant == "clipped":
         term = np.exp2(-eta - gamma + 1.0) * (np.exp2(iota) + 1.0)
         return float(np.dot(weights, np.minimum(term, 1.0)))
@@ -266,13 +286,12 @@ def bound_rhs(sol: RdSolution, source: FinitePmf, d: DistortionMatrix,
                 * (np.exp2(iota) + 1.0))
         return float(np.dot(weights, np.minimum(term, 1.0)))
     if variant == "psdr_simple":
-        return 2.0 ** (-gamma + 2.0)
+        return _exp2(-gamma + 2.0)
     if variant == "psdr_tight":
-        return float(2.0 ** (-gamma + 1.0)
-                     * (1.0 + np.dot(weights, np.exp2(-iota))))
+        return _exp2(-gamma + 1.0) * (1.0 + float(np.dot(weights, np.exp2(-iota))))
     if variant == "psdr_prefix":
         plus = np.clip(iota + gamma, 0.0, 1e150)
-        return float(2.0 ** (-gamma + 3.0) * np.dot(weights, (plus + 1.0) ** 2))
+        return _exp2(-gamma + 3.0) * float(np.dot(weights, (plus + 1.0) ** 2))
     raise ValueError(f"unknown bound variant {variant!r}")
 
 

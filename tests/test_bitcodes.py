@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfrlab import (BitString, MalformedCodeword, decode_delta, decode_plain,
                     delta_code_length, delta_length_calculus, encode_delta,
@@ -105,3 +107,22 @@ class TestBitString:
         b = BitString("101")
         assert list(b) == [1, 0, 1]
         assert b[1] == 0 and len(b) == 3
+
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+class TestLargeIntegers:
+    @PROPERTY
+    @given(k=st.integers(min_value=1, max_value=2**256))
+    def test_delta_round_trip(self, k):
+        b = encode_delta(k)
+        assert decode_delta(b) == (k, len(b))
+        assert len(b) == delta_code_length(k)
+
+    @PROPERTY
+    @given(k=st.integers(min_value=1, max_value=2**256))
+    def test_plain_round_trip(self, k):
+        b = encode_plain(k)
+        assert decode_plain(b) == k
+        assert len(b) == plain_code_length(k)

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -162,6 +163,15 @@ class TestVerifyPfr:
         })
         assert main(["verify-pfr", "--config", cfg, "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_single_trial_is_finite(self, tmp_path):
+        # one sample has no standard error; the 3-SE term is left out
+        cfg = str(Path(__file__).parent.parent / "demos" / "pfr_verify.json")
+        assert main(["verify-pfr", "--config", cfg, "--trials", "1",
+                     "--out", str(tmp_path)]) == 0
+        _, rows = read_rows(tmp_path / "pfr_checks.csv")
+        assert all(math.isfinite(float(r[1])) and r[3] == "true" for r in rows)
+
 
 class TestGrayWyner:
     @staticmethod
@@ -223,6 +233,20 @@ class TestGrayWyner:
                             lambda *args, **kw: (-1, -1, -1))
         cfg = write_config(tmp_path, self.gw_payload(trials=5))
         assert main(["gray-wyner", "--config", cfg, "--out", str(tmp_path)]) == 4
+
+    def test_batched_round_trip_breach_exit_4(self, tmp_path, monkeypatch, capsys):
+        import pfrlab.cli as cli_mod
+        decode = cli_mod.gw_decode_trials
+
+        def off_by_one(model, seed, ks):
+            out = decode(model, seed, ks)
+            out[len(ks) - 1, 2] += 1
+            return out
+
+        monkeypatch.setattr(cli_mod, "gw_decode_trials", off_by_one)
+        cfg = write_config(tmp_path, self.gw_payload(trials=300))
+        assert main(["gray-wyner", "--config", cfg, "--out", str(tmp_path)]) == 4
+        assert "round-trip mismatch at trial 299" in capsys.readouterr().err
 
 
 class TestSeedOverride:

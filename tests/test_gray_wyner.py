@@ -1,13 +1,20 @@
+import hashlib
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfrlab import (FinitePmf, GwModel, Kernel, ResortedStream, Seed,
                     UnsupportedPoint, arrival_stream, derive_subseed, gw_decode,
                     gw_dominance_params, gw_encode, gw_run_trials, resort_tables,
                     sample_pmf)
+from pfrlab import gray_wyner, prob, redundancy
+from pfrlab.codebook import stream_keys
+from pfrlab.gray_wyner import gw_decode_trials
 
 SEED = Seed.from_int(99)
 
@@ -220,7 +227,7 @@ class TestLaws:
                      else m.mi_y_source_given_u(which)) + 1.0
             assert logk.mean() + 3 * logk.std(ddof=1) / math.sqrt(n) <= bound
 
-    def test_trials_deterministic_and_threaded(self):
+    def test_trials_deterministic(self):
         m = common_bit_model()
         a = gw_run_trials(m, 400, SEED)
         b = gw_run_trials(m, 400, SEED)
@@ -235,3 +242,115 @@ class TestLaws:
             pair = sample_pmf(m.source_pmf,
                               derive_subseed(SEED, r.trial, "source").stream("draw"))
             assert (r.x1, r.x2) == divmod(pair, m.n2)
+
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def sparse_model(model_seed, n1, n2, nu, ny1, ny2, dead_u):
+    """Random model whose kernels hold zeros.
+
+    Some source pairs have probability 0; u = dead_u (if < nu) is
+    unreachable; and given u, y = u mod ny has probability 0 on both sides
+    while other u draw it, so iota(u; y) = -inf for a drawable mark.
+    """
+    rng = np.random.default_rng(model_seed)
+
+    def kern(rows, cols, dead=None):
+        a = rng.random((rows, cols)) ** 3 * (rng.random((rows, cols)) < 0.7)
+        keep = rng.integers(0, cols, size=rows)
+        if dead is not None and cols > 1:  # row i puts no mass on column dead[i]
+            keep = np.where(keep == dead, (keep + 1) % cols, keep)
+            a[np.arange(rows), dead] = 0.0
+        a[np.arange(rows), keep] += 0.05
+        return Kernel(a / a.sum(axis=1, keepdims=True))
+
+    joint = rng.random((n1, n2)) * (rng.random((n1, n2)) < 0.8)
+    joint.flat[rng.integers(0, n1 * n2)] += 0.1
+    return GwModel(joint_source=joint / joint.sum(),
+                   u_kernel=kern(n1 * n2, nu, np.full(n1 * n2, dead_u)
+                                 if dead_u < nu else None),
+                   y1_kernel=kern(n1 * nu, ny1, np.arange(n1 * nu) % nu % ny1),
+                   y2_kernel=kern(n2 * nu, ny2, np.arange(n2 * nu) % nu % ny2))
+
+
+def assert_batched_equals_streaming(model, n, seed):
+    recs = gw_run_trials(model, n, seed)
+    ks = np.array([(r.k0, r.k1, r.k2) for r in recs])
+    decoded = gw_decode_trials(model, seed, ks).tolist()
+    for r, dec in zip(recs, decoded):
+        sub = derive_subseed(seed, r.trial, "gw")
+        res = gw_encode(model, r.x1, r.x2, sub)
+        assert (r.k0, r.k1, r.k2, r.u, r.y1, r.y2) == (res.k0, res.k1, res.k2,
+                                                       res.u, res.y1, res.y2)
+        assert tuple(dec) == gw_decode(model, r.k0, r.k1, r.k2, sub) == (r.u, r.y1,
+                                                                         r.y2)
+    return recs
+
+
+class TestBatchedEqualsStreaming:
+    @PROPERTY
+    @given(model_seed=st.integers(min_value=0, max_value=2**32),
+           seed=st.integers(min_value=0, max_value=2**64),
+           dims=st.tuples(*[st.integers(min_value=1, max_value=3)] * 3,
+                          *[st.integers(min_value=1, max_value=8)] * 2),
+           dead_u=st.integers(min_value=0, max_value=5),
+           n=st.integers(min_value=1, max_value=40))
+    def test_random_models(self, model_seed, seed, dims, dead_u, n):
+        model = sparse_model(model_seed, *dims, dead_u)
+        assert_batched_equals_streaming(model, n, Seed.from_int(seed))
+
+    def test_unreachable_u_and_never_released_marks(self):
+        model = sparse_model(11, 3, 3, 3, 5, 4, dead_u=1)
+        assert model.p_u.probs[1] == 0.0
+        assert any(np.isneginf(side.iota[u]).any() and np.isfinite(side.iota[u]).any()
+                   for side in model.sides for u in (0, 2))
+        recs = assert_batched_equals_streaming(model, 200, SEED)
+        assert all(r.u != 1 for r in recs)
+
+    def test_span_across_chunks(self):
+        assert_batched_equals_streaming(random_model(8), 300, SEED)
+
+    def test_large_private_alphabet(self):
+        model = sparse_model(5, 2, 2, 2, 64, 64, dead_u=9)
+        recs = assert_batched_equals_streaming(model, 150, SEED)
+        assert max(max(r.k1, r.k2) for r in recs) > 8  # scans past one round
+
+    def test_zero_gap_falls_back_to_stream(self, monkeypatch):
+        # gap word 2^64 - 1 gives a zero gap, which the stream regenerates;
+        # force one at block 0 of one trial's gw-u and another's gw-y1 stream
+        seed, model, n = Seed.from_int(31), random_model(9), 40
+        blocks = {stream_keys(seed, [t], "gw", label)[0][0] + bytes(8)
+                  for t, label in ((7, "gw-u"), (12, "gw-y1"))}
+
+        def sha256(data=b""):
+            h = hashlib.sha256(data)
+            if data not in blocks:
+                return h
+            return SimpleNamespace(digest=lambda: b"\xff" * 8 + h.digest()[8:])
+
+        monkeypatch.setattr(prob, "hashlib", SimpleNamespace(sha256=sha256))
+        calls = Counter()
+
+        def counted(mod, name):
+            orig = getattr(mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return orig(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, wrapper)
+
+        counted(redundancy, "pfr_select")
+        counted(gray_wyner, "gw_encode")
+        counted(gray_wyner, "gw_decode")
+        recs = gw_run_trials(model, n, seed)
+        ks = np.array([(r.k0, r.k1, r.k2) for r in recs])
+        decoded = gw_decode_trials(model, seed, ks).tolist()
+        # the gw-u scan of trial 7 reruns on its stream; trial 12 reruns whole.
+        # Decoding u reads mark words only, so the gw-u gap has no effect there
+        assert calls == {"pfr_select": 1, "gw_encode": 1, "gw_decode": 1}
+        monkeypatch.undo()
+        monkeypatch.setattr(prob, "hashlib", SimpleNamespace(sha256=sha256))
+        assert_batched_equals_streaming(model, n, seed)
+        assert [tuple(d) for d in decoded] == [(r.u, r.y1, r.y2) for r in recs]

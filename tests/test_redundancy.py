@@ -1,15 +1,20 @@
 import io
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from pfrlab import (FinitePmf, Seed, UnsupportedEta, bound_rhs, estimate_tail,
                     records_to_csv, run_trials, summary_stats)
+from pfrlab import redundancy
 from pfrlab.redundancy import CSV_HEADER
 
 SEED = Seed.from_int(2024)
+# the bound variants that are not clipped at 1
+UNCLIPPED = (("PRR", "plain", "general"), ("PSDR", "plain", "psdr_simple"),
+             ("PSDR", "plain", "psdr_tight"), ("PSDR", "delta", "psdr_prefix"))
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +137,37 @@ class TestBoundRhs:
         with np.errstate(over="ignore"):
             assert bound_rhs(bsc_sol, uniform2, hamming2, "PSR", "delta",
                              -1e200) == pytest.approx(1.0)
+
+    def test_steep_negative_gamma_is_inf(self, bsc_sol, uniform2, hamming2):
+        # 2^{-g+c} overflows a float; the trivially valid bound is +inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for eta, code, variant in UNCLIPPED:
+                assert bound_rhs(bsc_sol, uniform2, hamming2, eta, code, -2000.0,
+                                 variant) == math.inf
+
+    def test_unclipped_values_unchanged(self, bsc_sol, uniform2, hamming2):
+        # the reference is the plain float power 2.0 ** (-g + c)
+        rows = bsc_sol.kernel.rows
+        iota_tab, j_x, _ = redundancy._tables(bsc_sol)
+        w = uniform2.probs[:, None] * rows
+        mask = w > 0.0
+        weights, iota = w[mask], iota_tab[mask]
+        eta = np.full(weights.size, bsc_sol.rate)
+        for g in [float(g) for g in range(-2, 11)] + [1e3]:
+            want = {
+                "general": float(2.0 ** (-g + 1.0) * np.dot(
+                    weights, np.exp2(-eta) * (np.exp2(iota) + 1.0))),
+                "psdr_simple": 2.0 ** (-g + 2.0),
+                "psdr_tight": float(2.0 ** (-g + 1.0)
+                                    * (1.0 + np.dot(weights, np.exp2(-iota)))),
+                "psdr_prefix": float(2.0 ** (-g + 3.0) * np.dot(
+                    weights, (np.clip(iota + g, 0.0, 1e150) + 1.0) ** 2)),
+            }
+            for eta_kind, code, variant in UNCLIPPED:
+                got = bound_rhs(bsc_sol, uniform2, hamming2, eta_kind, code, g,
+                                variant)
+                assert got.hex() == want[variant].hex()
 
     def test_variant_validation(self, bsc_sol, uniform2, hamming2):
         with pytest.raises(UnsupportedEta):

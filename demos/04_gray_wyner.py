@@ -30,18 +30,19 @@ print(f"encode (x1=1, x2=1): k0={res.k0}, k1={res.k1}, k2={res.k2} "
 print(f"decode replays the same streams: {gw_decode(model, res.k0, res.k1, res.k2, seed)}\n")
 
 n = 20_000
-records = gw_run_trials(model, n, seed)
-k0 = np.array([r.k0 for r in records])
+table = gw_run_trials(model, n, seed)  # a numpy column per field of gw_trials.csv
+x1, u, y1, y2, k0, k1, k2 = (table[c] for c in ("x1", "u", "y1", "y2", "k0", "k1", "k2"))
 print(f"{n} trials:")
 print(f"  E[log2 K0] = {np.log2(k0).mean():.4f}  <=  I(U;X1,X2) + 1 = "
       f"{model.mi_u_sources + 1.0:.4f}")
 print(f"  private indices constant: k1=k2=1 on all trials: "
-      f"{all(r.k1 == r.k2 == 1 for r in records)}")
+      f"{bool(np.all((k1 == 1) & (k2 == 1)))}")
 print(f"  reconstructions equal the common bit: "
-      f"{all(r.y1 == r.y2 == r.u == r.x1 for r in records)}")
+      f"{bool(np.all((y1 == u) & (y2 == u) & (u == x1)))}")
 
 mism = 0
-for r in records[:2000]:
-    dec = gw_decode(model, r.k0, r.k1, r.k2, derive_subseed(seed, r.trial, "gw"))
-    mism += dec != (r.u, r.y1, r.y2)
+for t in range(2000):
+    dec = gw_decode(model, int(k0[t]), int(k1[t]), int(k2[t]),
+                    derive_subseed(seed, t, "gw"))
+    mism += dec != (u[t], y1[t], y2[t])
 print(f"  decode mismatches in 2000 replayed trials: {mism}")

@@ -15,28 +15,28 @@ from .errors import (AbsoluteContinuityViolated, DegenerateTarget,
                      MalformedCodeword, NotConverged, PfrlabError,
                      TargetOutOfRange, UnsupportedEta, UnsupportedOutput,
                      UnsupportedPoint)
-from .gray_wyner import (GwModel, GwResult, GwTrialRecord, ResortedStream,
-                         gw_decode, gw_dominance_params, gw_encode,
-                         gw_records_to_csv, gw_run_trials, resort_tables)
+from .gray_wyner import (GwModel, GwResult, ResortedStream, gw_decode,
+                         gw_dominance_params, gw_encode, gw_records_to_csv,
+                         gw_run_trials, resort_tables)
 from .pfr import (PfrResult, dominance_parameter, expected_log_k_bound,
                   geometric_parameter_exact, pfr_select)
 from .prob import (DistortionMatrix, FinitePmf, Kernel, RngState, Seed,
                    SymbolId, entropy, information_density, kl_divergence,
                    mutual_information, sample_pmf)
 from .rd import RdSolution, ba_fixed_slope, solve_at_distortion, tilted_information
-from .redundancy import (CODE_KINDS, ETA_KINDS, TailEstimate, TrialRecord,
-                         TrialSummary, bound_rhs, estimate_tail, records_to_csv,
-                         run_trials, summary_stats)
+from .redundancy import (CODE_KINDS, ETA_KINDS, TailEstimate, TrialSummary,
+                         bound_rhs, estimate_tail, records_to_csv, run_trials,
+                         summary_stats)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AbsoluteContinuityViolated", "BitString", "CODE_KINDS", "CodebookStream",
     "DegenerateTarget", "DistortionMatrix", "ETA_KINDS", "FinitePmf",
-    "GwModel", "GwResult", "GwTrialRecord", "Kernel", "MalformedCodeword",
+    "GwModel", "GwResult", "Kernel", "MalformedCodeword",
     "MarkedPoint", "NotConverged", "PfrResult", "PfrlabError", "RdSolution",
     "ResortedStream", "RngState", "Seed", "SymbolId", "TailEstimate",
-    "TargetOutOfRange", "TrialRecord", "TrialSummary", "UnsupportedEta",
+    "TargetOutOfRange", "TrialSummary", "UnsupportedEta",
     "UnsupportedOutput", "UnsupportedPoint", "arrival_stream", "ba_fixed_slope",
     "bound_rhs", "decode_delta", "decode_plain", "delta_code_length",
     "delta_length_calculus", "derive_subseed", "dominance_parameter",

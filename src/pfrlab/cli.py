@@ -310,15 +310,15 @@ def cmd_redundancy_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
         sol = solve_at_distortion(cfg.source, cfg.distortion, cfg.target_D)
     except TargetOutOfRange as e:
         raise ConfigError("target_D", str(e)) from None
-    records = run_trials(sol, cfg.source, cfg.distortion, cfg.trials, cfg.seed)
+    table = run_trials(sol, cfg.source, cfg.distortion, cfg.trials, cfg.seed)
     with open(os.path.join(out_dir, "trials.csv"), "w") as fh:
-        records_to_csv(records, fh)
+        records_to_csv(table, fh)
     lines = ["eta_kind,code_kind,gamma,p_hat,std_err,bound_rhs"]
     ok = True
     for eta in ETA_KINDS:
         for code in CODE_KINDS:
             for gamma in cfg.gamma_grid:
-                tail = estimate_tail(records, eta, code, gamma)
+                tail = estimate_tail(table, eta, code, gamma)
                 rhs = bound_rhs(sol, cfg.source, cfg.distortion, eta, code, gamma)
                 ok &= tail.p_hat - 3.0 * tail.std_err <= rhs
                 lines.append(f"{eta},{code},{_g(gamma)},{_g(tail.p_hat)},"
@@ -329,21 +329,21 @@ def cmd_redundancy_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
 
 def cmd_gray_wyner(cfg: ExperimentConfig, out_dir: str) -> int:
     model, seed, n = cfg.gw_model, cfg.seed, cfg.trials
-    records = gw_run_trials(model, n, seed)
-    ks = np.fromiter(((r.k0, r.k1, r.k2) for r in records), (np.int64, 3), count=n)
-    ys = np.fromiter(((r.u, r.y1, r.y2) for r in records), (np.int64, 3), count=n)
+    table = gw_run_trials(model, n, seed)
+    xs, ks, ys = (np.column_stack([table[c] for c in cols]) for cols in
+                  (("x1", "x2"), ("k0", "k1", "k2"), ("u", "y1", "y2")))
     bad = np.flatnonzero((gw_decode_trials(model, seed, ks) != ys).any(axis=1)).tolist()
-    for r in records[:32]:  # and the streaming encoder and decoder must agree
-        sub = derive_subseed(seed, r.trial, "gw")
-        k, y = (r.k0, r.k1, r.k2), (r.u, r.y1, r.y2)
-        if (astuple(gw_encode(model, r.x1, r.x2, sub)) != k + y
-                or gw_decode(model, *k, sub) != y):
-            bad.append(r.trial)
+    # and the streaming encoder and decoder must agree on the first 32 trials
+    for t, x, k, y in zip(range(32), *(a[:32].tolist() for a in (xs, ks, ys))):
+        sub = derive_subseed(seed, t, "gw")
+        if (astuple(gw_encode(model, *x, sub)) != (*k, *y)
+                or gw_decode(model, *k, sub) != tuple(y)):
+            bad.append(t)
     if bad:
         print(f"round-trip mismatch at trial {min(bad)}", file=sys.stderr)
         return 4
     with open(os.path.join(out_dir, "gw_trials.csv"), "w") as fh:
-        gw_records_to_csv(records, fh)
+        gw_records_to_csv(table, fh)
 
     infos = (model.mi_u_sources, model.mi_y_source_given_u(1),
              model.mi_y_source_given_u(2))

@@ -24,13 +24,14 @@ from functools import cached_property
 
 import numpy as np
 
+from .bitcodes import plain_code_length
 from .codebook import (CodebookStream, MarkedPoint, arrival_stream, derive_subseed,
                        nth_marks, stream_keys)
 from .errors import UnsupportedPoint
 from .pfr import pfr_scan_rows, pfr_select
 from .prob import FinitePmf, Kernel, Seed, SymbolId, kl_divergence
-from .redundancy import (_round_points, chunk_spans, scan_rounds, select_span,
-                         trial_chunks)
+from .redundancy import (_per_k, _round_points, _write_table, chunk_spans,
+                         scan_rounds, select_span, trial_chunks)
 
 GW_CSV_HEADER = "trial,x1,x2,u,y1,y2,k0,k1,k2,len0,len1,len2"
 
@@ -318,29 +319,14 @@ def gw_dominance_params(model: GwModel, x1: SymbolId, x2: SymbolId,
     return tuple(1.0 / (t / c + 1.0) for c, t in laws)
 
 
-@dataclass(frozen=True, slots=True)
-class GwTrialRecord:
-    trial: int
-    x1: SymbolId
-    x2: SymbolId
-    u: SymbolId
-    y1: SymbolId
-    y2: SymbolId
-    k0: int
-    k1: int
-    k2: int
-    len0: int
-    len1: int
-    len2: int
-
-
-def gw_run_trials(model: GwModel, n: int, seed: Seed) -> list:
+def gw_run_trials(model: GwModel, n: int, seed: Seed) -> dict:
     """n trials of gw_encode(model, x1, x2, derive_subseed(seed, t, "gw")), with
-    source pairs drawn from the model, a chunk at once; zero gaps rerun a trial."""
+    source pairs drawn from the model, a chunk at once; zero gaps rerun a trial.
+    Returns the trial table, a numpy column per field of GW_CSV_HEADER."""
     # a pair of probability 0 is never drawn; p_u stands in for its u-target
     u_rows = [row if w > 0 else model.p_u
               for row, w in zip(model._u_rows, model.source_pmf.probs)]
-    out = []
+    parts = []
     for span, pairs in trial_chunks(model.source_pmf, seed, n):
         keys, zero = stream_keys(seed, span, "gw", "gw-u", "gw-y1", "gw-y2"), set()
         k0, u = select_span(seed, span, u_rows, pairs, model.p_u,
@@ -352,9 +338,11 @@ def gw_run_trials(model: GwModel, n: int, seed: Seed) -> list:
             res = gw_encode(model, int(x1[i]), int(x2[i]),
                             derive_subseed(seed, span[i], "gw"))
             k0[i], k1[i], k2[i], u[i], y1[i], y2[i] = astuple(res)
-        for t, *row in zip(span, *(a.tolist() for a in (x1, x2, u, y1, y2, k0, k1, k2))):
-            out.append(GwTrialRecord(t, *row, *(k.bit_length() - 1 for k in row[-3:])))
-    return out
+        parts.append((x1, x2, u, y1, y2, k0, k1, k2))
+    x1, x2, u, y1, y2, k0, k1, k2 = (np.concatenate(col) for col in zip(*parts))
+    len0, len1, len2 = (_per_k(k, plain_code_length)[0] for k in (k0, k1, k2))
+    return dict(trial=np.arange(n), x1=x1, x2=x2, u=u, y1=y1, y2=y2, k0=k0, k1=k1,
+                k2=k2, len0=len0, len1=len1, len2=len2)
 
 
 def gw_decode_trials(model: GwModel, seed: Seed, ks: np.ndarray) -> np.ndarray:
@@ -372,8 +360,5 @@ def gw_decode_trials(model: GwModel, seed: Seed, ks: np.ndarray) -> np.ndarray:
     return out
 
 
-def gw_records_to_csv(records, fh) -> None:
-    fh.write(GW_CSV_HEADER + "\n")
-    for r in records:
-        fh.write(f"{r.trial},{r.x1},{r.x2},{r.u},{r.y1},{r.y2},"
-                 f"{r.k0},{r.k1},{r.k2},{r.len0},{r.len1},{r.len2}\n")
+def gw_records_to_csv(table: dict, fh) -> None:
+    _write_table(table, fh)

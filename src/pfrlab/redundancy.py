@@ -14,63 +14,44 @@ Elias delta codeword length for the prefix-free one.  Tail fractions of each
 redundancy are compared against exact finite-alphabet evaluations of the
 corresponding upper bounds.
 
-Every trial derives its own seed from (seed, trial index), so records do not
-depend on how trials are grouped; one single-threaded loop over
+Every trial derives its own seed from (seed, trial index), so its row does
+not depend on how trials are grouped; one single-threaded loop over
 :func:`trial_chunks` drives both the sweep here and the Gray-Wyner trials.
 
 The trial engine works on chunks of _CHUNK trials.  For a chunk it derives
 every trial's keys in one pass, draws the source symbols at once, and runs
 the selections side by side (:func:`select_span`): each round of
 :func:`scan_rounds` draws the next points of every unfinished scan and
-applies the stop rule to all of them with pfr_scan_rows.  The records equal
+applies the stop rule to all of them with pfr_scan_rows.  The results equal
 those of one pfr_select per trial, bit for bit; the engine falls back to
 pfr_select for a trial whose drawn gaps hold a zero.  The Gray-Wyner common
 index runs on select_span too, and its private indices on scan_rounds.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .bitcodes import delta_code_length
+from .bitcodes import delta_code_length, plain_code_length
 from .codebook import (_BLOCK, arrival_stream, derive_subseed, draw_points,
                         span_keys, stream_keys)
 from .errors import UnsupportedEta
 from .pfr import _ratio_rows, pfr_scan_rows, pfr_select
-from .prob import (DistortionMatrix, FinitePmf, Seed, SymbolId, entropy,
-                   sample_pmf_keys)
+from .prob import DistortionMatrix, FinitePmf, Seed, entropy, sample_pmf_keys
 from .rd import RdSolution, tilted_information
 
 # trials per chunk of the engine; bounds its working arrays whatever n is
 _CHUNK = 128
+# points per scan in a round, at most: 2^18 for a whole chunk, whatever f_max is
+_ROUND_CAP = 2 ** 18 // _CHUNK
 
 ETA_KINDS = ("PRR", "PSR", "PSDR")
 CODE_KINDS = ("plain", "delta")
 
 CSV_HEADER = ("trial,x,y,k,len_plain,len_delta,dist,iota,j_x,j_xd,"
               "prr_plain,psr_plain,psdr_plain,prr_delta,psr_delta,psdr_delta")
-
-
-@dataclass(frozen=True, slots=True)
-class TrialRecord:
-    trial: int
-    x: SymbolId
-    y: SymbolId
-    k: int
-    len_plain: int
-    len_delta: int
-    dist: float
-    iota: float
-    j_x: float
-    j_xd: float
-    prr_plain: float
-    psr_plain: float
-    psdr_plain: float
-    prr_delta: float
-    psr_delta: float
-    psdr_delta: float
 
 
 @dataclass(frozen=True)
@@ -132,9 +113,9 @@ def _round_points(f_max: float) -> int:
 
     A scan examines f_max + 1 points on average, with a long geometric-like
     tail.  Rounds of 3/4 of that mean keep both the points drawn past the
-    stop and the number of rounds low.
+    stop and the number of rounds low; _ROUND_CAP bounds a round's memory.
     """
-    return _BLOCK * math.ceil(0.75 * (f_max + 1.0) / _BLOCK)
+    return min(_BLOCK * math.ceil(0.75 * (f_max + 1.0) / _BLOCK), _ROUND_CAP)
 
 
 def scan_rounds(keys, cum: np.ndarray, n: int, step, fallback) -> None:
@@ -188,29 +169,30 @@ def select_span(seed: Seed, span, targets, xs, proposal: FinitePmf,
     return k, y
 
 
+def _per_k(k: np.ndarray, *fns) -> tuple:
+    """The column fn(k) for each fn, evaluated once per distinct k and gathered."""
+    distinct, at = np.unique(k, return_inverse=True)
+    return tuple(np.array([fn(v) for v in distinct.tolist()])[at] for fn in fns)
+
+
 def run_trials(sol: RdSolution, source: FinitePmf, d: DistortionMatrix,
-               n: int, seed: Seed) -> list:
-    """n independent trials of the one-shot scheme; deterministic in (seed, n)."""
+               n: int, seed: Seed) -> dict:
+    """n independent trials of the one-shot scheme; deterministic in (seed, n).
+    Returns the trial table: a dict of CSV_HEADER's fields to numpy columns."""
     iota, j_x, j_xd = _tables(sol)
-    rate = sol.rate
-    dmat = d.d
-    q = sol.output_marginal
-    targets = _targets(sol)
-    out = []
-    for span, xs in trial_chunks(source, seed, n):
-        ks, ys = select_span(seed, span, targets, xs, q)
-        for t, x, y, k in zip(span, xs.tolist(), ys.tolist(), ks.tolist()):
-            log_k = math.log2(k)
-            ld = delta_code_length(k)
-            jx = float(j_x[x])
-            jxd = float(j_xd[x, y])
-            out.append(TrialRecord(
-                trial=t, x=x, y=y, k=k,
-                len_plain=k.bit_length() - 1, len_delta=ld,
-                dist=float(dmat[x, y]), iota=float(iota[x, y]), j_x=jx, j_xd=jxd,
-                prr_plain=log_k - rate, psr_plain=log_k - jx, psdr_plain=log_k - jxd,
-                prr_delta=ld - rate, psr_delta=ld - jx, psdr_delta=ld - jxd))
-    return out
+    targets, q = _targets(sol), sol.output_marginal
+    chunks = [(xs, *select_span(seed, span, targets, xs, q))
+              for span, xs in trial_chunks(source, seed, n)]
+    x, k, y = (np.concatenate(col) for col in zip(*chunks))
+    # math.log2, not np.log2: that is 1 ulp off at k = 1621 and would change the CSV
+    log_k, len_plain, len_delta = _per_k(k, math.log2, plain_code_length,
+                                         delta_code_length)
+    rate, jx, jxd = sol.rate, j_x[x], j_xd[x, y]
+    return dict(trial=np.arange(n), x=x, y=y, k=k, len_plain=len_plain,
+                len_delta=len_delta, dist=d.d[x, y], iota=iota[x, y], j_x=jx,
+                j_xd=jxd, prr_plain=log_k - rate, psr_plain=log_k - jx,
+                psdr_plain=log_k - jxd, prr_delta=len_delta - rate,
+                psr_delta=len_delta - jx, psdr_delta=len_delta - jxd)
 
 
 def _check_kinds(eta_kind: str, code_kind: str) -> None:
@@ -220,15 +202,14 @@ def _check_kinds(eta_kind: str, code_kind: str) -> None:
         raise ValueError(f"unknown code kind {code_kind!r}")
 
 
-def estimate_tail(records, eta_kind: str, code_kind: str,
+def estimate_tail(table: dict, eta_kind: str, code_kind: str,
                   gamma: float) -> TailEstimate:
-    """Empirical P(length - eta >= gamma) over the records."""
+    """Empirical P(length - eta >= gamma) over the rows of a trial table."""
     _check_kinds(eta_kind, code_kind)
-    name = f"{eta_kind.lower()}_{code_kind}"
-    vals = np.array([getattr(r, name) for r in records])
+    vals = table[f"{eta_kind.lower()}_{code_kind}"]
     n = vals.size
     if n == 0:
-        raise ValueError("records must be nonempty")
+        raise ValueError("the trial table must be nonempty")
     p_hat = float((vals >= gamma).mean())
     return TailEstimate(gamma=float(gamma), p_hat=p_hat,
                         std_err=math.sqrt(p_hat * (1.0 - p_hat) / n), n=n)
@@ -322,17 +303,14 @@ def _mean_se(vals):
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 
 
-def summary_stats(records, sol: RdSolution) -> TrialSummary:
+def summary_stats(table: dict, sol: RdSolution) -> TrialSummary:
     """Averages, their standard errors, and the expected-length comparison targets."""
-    if not records:
-        raise ValueError("records must be nonempty")
-    dist = np.array([r.dist for r in records])
-    lp = np.array([r.len_plain for r in records], dtype=float)
-    ld = np.array([r.len_delta for r in records], dtype=float)
-    ks = np.array([r.k for r in records])
+    ks = table["k"]
+    if ks.size == 0:
+        raise ValueError("the trial table must be nonempty")
+    dist, jx, jxd = table["dist"], table["j_x"], table["j_xd"]
+    lp, ld = (table[c].astype(float) for c in ("len_plain", "len_delta"))
     lk = np.log2(ks)
-    jx = np.array([r.j_x for r in records])
-    jxd = np.array([r.j_xd for r in records])
     _, counts = np.unique(ks, return_counts=True)
     h_k = entropy(FinitePmf(counts / counts.sum()))
     m_dist, se_dist = _mean_se(dist)
@@ -343,7 +321,7 @@ def summary_stats(records, sol: RdSolution) -> TrialSummary:
     m_jxd, se_jxd = _mean_se(jxd)
     r = sol.rate
     return TrialSummary(
-        n=len(records), mean_dist=m_dist, mean_len_plain=m_lp,
+        n=ks.size, mean_dist=m_dist, mean_len_plain=m_lp,
         mean_len_delta=m_ld, mean_log2_k=m_lk,
         se_dist=se_dist, se_len_plain=se_lp, se_len_delta=se_ld, se_log2_k=se_lk,
         mean_j_x=m_jx, mean_j_xd=m_jxd, se_j_x=se_jx, se_j_xd=se_jxd,
@@ -353,15 +331,17 @@ def summary_stats(records, sol: RdSolution) -> TrialSummary:
         entropy_k_bound=m_lk + math.log2(m_lk + 1.0) + 1.0)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".9g")
+def _write_table(table: dict, fh) -> None:
+    """Write a trial table as CSV: a header of its keys, then a line per row,
+    %d for integer columns and %.9g for floats, formatted _CHUNK rows at a time."""
+    cols = list(table.values())
+    line = ",".join("%d" if c.dtype.kind in "iu" else "%.9g" for c in cols) + "\n"
+    fh.write(",".join(table) + "\n")
+    for c in range(0, cols[0].size, _CHUNK):
+        rows = zip(*(col[c:c + _CHUNK].tolist() for col in cols))
+        fh.write("".join([line % row for row in rows]))
 
 
-def records_to_csv(records, fh) -> None:
-    """Write the fixed trial schema; floats carry 9 significant digits."""
-    fh.write(CSV_HEADER + "\n")
-    names = [f.name for f in fields(TrialRecord)]
-    for r in records:
-        fh.write(",".join(_fmt(getattr(r, name)) for name in names) + "\n")
+def records_to_csv(table: dict, fh) -> None:
+    """Write run_trials' table; floats carry 9 significant digits."""
+    _write_table(table, fh)

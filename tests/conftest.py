@@ -12,6 +12,32 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
 
 
+def head(table, n):
+    """The first n rows of a trial table (a dict of numpy columns)."""
+    return {name: col[:n] for name, col in table.items()}
+
+
+def rows(table, *names):
+    """The rows of a trial table as tuples of the named columns' values."""
+    return list(zip(*(table[name].tolist() for name in names)))
+
+
+def group_rows(table, *names):
+    """Row indices of a trial table, grouped by the tuple of the named columns."""
+    groups = {}
+    for i, key in enumerate(rows(table, *names)):
+        groups.setdefault(key, []).append(i)
+    return groups
+
+
+def assert_same_table(a, b):
+    """The two trial tables have the same columns, dtypes and bytes."""
+    assert list(a) == list(b)
+    for name in a:
+        assert a[name].dtype == b[name].dtype, name
+        assert a[name].tobytes() == b[name].tobytes(), name
+
+
 @pytest.fixture(scope="session")
 def uniform2():
     return FinitePmf.uniform(2)

@@ -20,7 +20,7 @@ from pfrlab import (FinitePmf, GwModel, Kernel, Seed, arrival_stream,
                     information_density, kl_divergence, pfr_select,
                     plain_code_length, run_trials, solve_at_distortion,
                     summary_stats, tilted_information)
-from conftest import binary_entropy
+from conftest import binary_entropy, group_rows, rows
 
 ACC_SEED = Seed.from_hex("5f2e" * 16)
 
@@ -60,8 +60,8 @@ def bsc(uniform2, hamming2):
 def bsc_run(bsc, uniform2, hamming2):
     sol, _ = bsc
     t0 = time.perf_counter()
-    records = run_trials(sol, uniform2, hamming2, N_TRIALS, ACC_SEED)
-    return records, time.perf_counter() - t0
+    table = run_trials(sol, uniform2, hamming2, N_TRIALS, ACC_SEED)
+    return table, time.perf_counter() - t0
 
 
 def common_bit_model():
@@ -156,8 +156,8 @@ def test_criterion_06_tilted_identities(bsc, uniform2):
 
 def test_criterion_07_expected_length_targets(bsc, bsc_run):
     sol, _ = bsc
-    records, elapsed = bsc_run
-    s = summary_stats(records, sol)
+    table, elapsed = bsc_run
+    s = summary_stats(table, sol)
     plain_stat = s.mean_len_plain + 3.0 * s.se_len_plain
     delta_stat = s.mean_len_delta + 3.0 * s.se_len_delta
     plain_ok = plain_stat <= 2.5101
@@ -171,11 +171,11 @@ def test_criterion_07_expected_length_targets(bsc, bsc_run):
 
 def test_criterion_08_psdr_tail(bsc, bsc_run, uniform2, hamming2):
     sol, _ = bsc
-    records, _ = bsc_run
+    table, _ = bsc_run
     worst_simple = -math.inf
     worst_tight = -math.inf
     for gamma in range(1, 9):
-        t = estimate_tail(records, "PSDR", "plain", float(gamma))
+        t = estimate_tail(table, "PSDR", "plain", float(gamma))
         stat = t.p_hat - 3.0 * t.std_err
         simple = bound_rhs(sol, uniform2, hamming2, "PSDR", "plain", gamma,
                            "psdr_simple")
@@ -191,13 +191,13 @@ def test_criterion_08_psdr_tail(bsc, bsc_run, uniform2, hamming2):
 
 def test_criterion_09_tail_grid(bsc, bsc_run, uniform2, hamming2):
     sol, _ = bsc
-    records, _ = bsc_run
+    table, _ = bsc_run
     worst = -math.inf
     count = 0
     for eta in ("PRR", "PSR", "PSDR"):
         for code in ("plain", "delta"):
             for gamma in range(-2, 11):
-                t = estimate_tail(records, eta, code, float(gamma))
+                t = estimate_tail(table, eta, code, float(gamma))
                 rhs = bound_rhs(sol, uniform2, hamming2, eta, code, float(gamma))
                 worst = max(worst, t.p_hat - 3.0 * t.std_err - rhs)
                 count += 1
@@ -230,31 +230,25 @@ def test_criterion_11_gray_wyner():
     results = []
     for name, model in (("common-bit", common_bit_model()),
                         ("independent-U", independent_u_model())):
-        records = gw_run_trials(model, N_TRIALS, ACC_SEED)
-        groups = {}
-        for r in records:
-            groups.setdefault((r.x1, r.x2), []).append(r)
+        table = gw_run_trials(model, N_TRIALS, ACC_SEED)
+        triples = rows(table, "u", "y1", "y2")
         tv_ok = True
-        for (x1, x2), rs in groups.items():
+        for (x1, x2), rs in group_rows(table, "x1", "x2").items():
             if len(rs) < 10_000:
                 continue
             law = model.conditional_triple_law(x1, x2)
             emp = np.zeros_like(law)
-            for key, cnt in Counter((r.u, r.y1, r.y2) for r in rs).items():
+            for key, cnt in Counter(triples[i] for i in rs).items():
                 emp[key] = cnt / len(rs)
             tv_ok &= 0.5 * float(np.abs(emp - law).sum()) <= 0.02
         dom_ok = True
-        tuples = {}
-        for r in records:
-            tuples.setdefault((r.x1, r.x2, r.u, r.y1, r.y2), []).append(r)
         from pfrlab import gw_dominance_params
-        for tup, rs in tuples.items():
+        for tup, rs in group_rows(table, "x1", "x2", "u", "y1", "y2").items():
             if len(rs) < 1000:
                 continue
             params = gw_dominance_params(model, *tup)
-            for ks, p in zip(([r.k0 for r in rs], [r.k1 for r in rs],
-                              [r.k2 for r in rs]), params):
-                ks = np.array(ks)
+            for ks, p in zip((table["k0"][rs], table["k1"][rs], table["k2"][rs]),
+                             params):
                 for k in range(1, 31):
                     surv = float((ks > k).mean())
                     se = math.sqrt(surv * (1.0 - surv) / ks.size)
@@ -263,9 +257,8 @@ def test_criterion_11_gray_wyner():
         bounds = (model.mi_u_sources + 1.0,
                   model.mi_y_source_given_u(1) + 1.0,
                   model.mi_y_source_given_u(2) + 1.0)
-        for ks, bound in zip(([r.k0 for r in records], [r.k1 for r in records],
-                              [r.k2 for r in records]), bounds):
-            logk = np.log2(np.array(ks, dtype=float))
+        for ks, bound in zip((table["k0"], table["k1"], table["k2"]), bounds):
+            logk = np.log2(ks.astype(float))
             stat = float(logk.mean())
             if logk.size > 1 and logk.std(ddof=1) > 0:
                 stat += 3.0 * float(logk.std(ddof=1)) / math.sqrt(logk.size)
@@ -281,8 +274,8 @@ def test_criterion_11_gray_wyner():
 
 def test_criterion_12_entropy_of_index(bsc, bsc_run, pfr_draws):
     sol, _ = bsc
-    records, _ = bsc_run
-    s = summary_stats(records, sol)
+    table, _ = bsc_run
+    s = summary_stats(table, sol)
     ok_main = s.entropy_k <= s.entropy_k_bound + 0.05
     ks, _, _ = pfr_draws
     _, counts = np.unique(ks, return_counts=True)

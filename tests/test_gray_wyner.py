@@ -14,7 +14,8 @@ from pfrlab import (FinitePmf, GwModel, Kernel, ResortedStream, Seed,
                     sample_pmf)
 from pfrlab import gray_wyner, prob, redundancy
 from pfrlab.codebook import stream_keys
-from pfrlab.gray_wyner import gw_decode_trials
+from pfrlab.gray_wyner import GW_CSV_HEADER, gw_decode_trials
+from conftest import assert_same_table, group_rows, rows
 
 SEED = Seed.from_int(99)
 
@@ -175,10 +176,9 @@ class TestLaws:
         m = random_model(6)
         n = 60_000
         recs = gw_run_trials(m, n, SEED)
-        groups = {}
-        for r in recs:
-            groups.setdefault((r.x1, r.x2), []).append((r.u, r.y1, r.y2))
-        for (x1, x2), sel in groups.items():
+        triples = rows(recs, "u", "y1", "y2")
+        for (x1, x2), at in group_rows(recs, "x1", "x2").items():
+            sel = [triples[i] for i in at]
             if len(sel) < 10_000:
                 continue
             law = m.conditional_triple_law(x1, x2)
@@ -206,23 +206,18 @@ class TestLaws:
         m = random_model(7)
         n = 30_000
         recs = gw_run_trials(m, n, SEED)
-        groups = {}
-        for r in recs:
-            groups.setdefault((r.x1, r.x2, r.u, r.y1, r.y2), []).append(r)
-        for tup, rs in groups.items():
-            if len(rs) < 3000:
+        for tup, at in group_rows(recs, "x1", "x2", "u", "y1", "y2").items():
+            if len(at) < 3000:
                 continue
             p0, p1, p2 = gw_dominance_params(m, *tup)
-            for ks, p in ((np.array([r.k0 for r in rs]), p0),
-                          (np.array([r.k1 for r in rs]), p1),
-                          (np.array([r.k2 for r in rs]), p2)):
+            for ks, p in ((recs["k0"][at], p0), (recs["k1"][at], p1),
+                          (recs["k2"][at], p2)):
                 for k in range(1, 31):
                     surv = (ks > k).mean()
                     se = math.sqrt(surv * (1 - surv) / ks.size)
                     assert surv <= (1 - p) ** k + 3 * se + 1e-12
-        for which, ks in ((0, [r.k0 for r in recs]), (1, [r.k1 for r in recs]),
-                          (2, [r.k2 for r in recs])):
-            logk = np.log2(np.array(ks, dtype=float))
+        for which in range(3):
+            logk = np.log2(recs[f"k{which}"].astype(float))
             bound = (m.mi_u_sources if which == 0
                      else m.mi_y_source_given_u(which)) + 1.0
             assert logk.mean() + 3 * logk.std(ddof=1) / math.sqrt(n) <= bound
@@ -231,17 +226,26 @@ class TestLaws:
         m = common_bit_model()
         a = gw_run_trials(m, 400, SEED)
         b = gw_run_trials(m, 400, SEED)
-        assert a == b
+        assert_same_table(a, b)
+
+    def test_table_columns_follow_the_csv_header(self):
+        recs = gw_run_trials(random_model(3), 300, SEED)
+        assert ",".join(recs) == GW_CSV_HEADER
+        assert {col.shape for col in recs.values()} == {(300,)}
+        assert recs["trial"].tolist() == list(range(300))
+        for i in range(3):
+            assert recs[f"len{i}"].tolist() == [k.bit_length() - 1
+                                                for k in recs[f"k{i}"].tolist()]
 
     def test_source_pairs_are_per_trial_draws(self):
         # the chunked source draw equals one sample_pmf per trial on the
         # trial's "source" subseed, for spans across a chunk boundary
         m = independent_u_model()
         recs = gw_run_trials(m, 300, SEED)
-        for r in recs:
+        for t, x1, x2 in rows(recs, "trial", "x1", "x2"):
             pair = sample_pmf(m.source_pmf,
-                              derive_subseed(SEED, r.trial, "source").stream("draw"))
-            assert (r.x1, r.x2) == divmod(pair, m.n2)
+                              derive_subseed(SEED, t, "source").stream("draw"))
+            assert (x1, x2) == divmod(pair, m.n2)
 
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -276,15 +280,15 @@ def sparse_model(model_seed, n1, n2, nu, ny1, ny2, dead_u):
 
 def assert_batched_equals_streaming(model, n, seed):
     recs = gw_run_trials(model, n, seed)
-    ks = np.array([(r.k0, r.k1, r.k2) for r in recs])
-    decoded = gw_decode_trials(model, seed, ks).tolist()
-    for r, dec in zip(recs, decoded):
-        sub = derive_subseed(seed, r.trial, "gw")
-        res = gw_encode(model, r.x1, r.x2, sub)
-        assert (r.k0, r.k1, r.k2, r.u, r.y1, r.y2) == (res.k0, res.k1, res.k2,
-                                                       res.u, res.y1, res.y2)
-        assert tuple(dec) == gw_decode(model, r.k0, r.k1, r.k2, sub) == (r.u, r.y1,
-                                                                         r.y2)
+    decoded = gw_decode_trials(model, seed, np.array(rows(recs, "k0", "k1", "k2")))
+    for (t, x1, x2, k0, k1, k2, u, y1, y2), dec in zip(
+            rows(recs, "trial", "x1", "x2", "k0", "k1", "k2", "u", "y1", "y2"),
+            decoded.tolist()):
+        sub = derive_subseed(seed, t, "gw")
+        res = gw_encode(model, x1, x2, sub)
+        assert (k0, k1, k2, u, y1, y2) == (res.k0, res.k1, res.k2,
+                                           res.u, res.y1, res.y2)
+        assert tuple(dec) == gw_decode(model, k0, k1, k2, sub) == (u, y1, y2)
     return recs
 
 
@@ -306,7 +310,7 @@ class TestBatchedEqualsStreaming:
         assert any(np.isneginf(side.iota[u]).any() and np.isfinite(side.iota[u]).any()
                    for side in model.sides for u in (0, 2))
         recs = assert_batched_equals_streaming(model, 200, SEED)
-        assert all(r.u != 1 for r in recs)
+        assert np.all(recs["u"] != 1)
 
     def test_span_across_chunks(self):
         assert_batched_equals_streaming(random_model(8), 300, SEED)
@@ -314,7 +318,7 @@ class TestBatchedEqualsStreaming:
     def test_large_private_alphabet(self):
         model = sparse_model(5, 2, 2, 2, 64, 64, dead_u=9)
         recs = assert_batched_equals_streaming(model, 150, SEED)
-        assert max(max(r.k1, r.k2) for r in recs) > 8  # scans past one round
+        assert max(recs["k1"].max(), recs["k2"].max()) > 8  # scans past one round
 
     def test_zero_gap_falls_back_to_stream(self, monkeypatch):
         # gap word 2^64 - 1 gives a zero gap, which the stream regenerates;
@@ -345,7 +349,7 @@ class TestBatchedEqualsStreaming:
         counted(gray_wyner, "gw_encode")
         counted(gray_wyner, "gw_decode")
         recs = gw_run_trials(model, n, seed)
-        ks = np.array([(r.k0, r.k1, r.k2) for r in recs])
+        ks = np.array(rows(recs, "k0", "k1", "k2"))
         decoded = gw_decode_trials(model, seed, ks).tolist()
         # the gw-u scan of trial 7 reruns on its stream; trial 12 reruns whole.
         # Decoding u reads mark words only, so the gw-u gap has no effect there
@@ -353,4 +357,4 @@ class TestBatchedEqualsStreaming:
         monkeypatch.undo()
         monkeypatch.setattr(prob, "hashlib", SimpleNamespace(sha256=sha256))
         assert_batched_equals_streaming(model, n, seed)
-        assert [tuple(d) for d in decoded] == [(r.u, r.y1, r.y2) for r in recs]
+        assert [tuple(d) for d in decoded] == rows(recs, "u", "y1", "y2")

@@ -12,7 +12,7 @@ from pfrlab import (AbsoluteContinuityViolated, FinitePmf, GwModel, Kernel, Seed
                     expected_log_k_bound, geometric_parameter_exact,
                     kl_divergence, mutual_information, pfr_select)
 from pfrlab import prob, redundancy
-from pfrlab.codebook import stream_keys
+from pfrlab.codebook import draw_points, stream_keys
 from pfrlab.redundancy import _CHUNK, select_span
 from conftest import binary_entropy
 
@@ -252,6 +252,24 @@ class TestBatchedScanProperty:
         ks, ys = select_span(Seed.from_int(seed), trials, targets, xs, proposal)
         assert list(zip(ks.tolist(), ys.tolist())) == streaming(
             Seed.from_int(seed), trials, targets, xs, proposal)
+
+    def test_rounds_fit_the_point_budget(self, monkeypatch):
+        # f_max = 5,000: uncapped rounds would draw 128 x 3,752 = 480k points
+        round_points = []
+
+        def counted(gap_keys, mark_keys, cum, start, n, time0):
+            round_points.append(len(gap_keys) * n)
+            return draw_points(gap_keys, mark_keys, cum, start, n, time0)
+
+        monkeypatch.setattr(redundancy, "draw_points", counted)
+        seed, trials = Seed.from_int(5), range(_CHUNK)
+        target = FinitePmf(np.array([0.5, 0.5]))
+        proposal = FinitePmf(np.array([1e-4, 1.0 - 1e-4]))
+        xs = np.zeros(_CHUNK, dtype=np.int64)
+        ks, ys = select_span(seed, trials, [target], xs, proposal)
+        assert len(round_points) > 1 and max(round_points) <= 2 ** 18
+        assert list(zip(ks.tolist(), ys.tolist())) == streaming(
+            seed, trials, [target], xs, proposal)
 
     def test_zero_gap_falls_back_to_stream(self, monkeypatch):
         # gap word 2^64 - 1 gives a zero gap; the stream regenerates it from

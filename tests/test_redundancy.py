@@ -6,10 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from pfrlab import (FinitePmf, Seed, UnsupportedEta, bound_rhs, estimate_tail,
-                    records_to_csv, run_trials, summary_stats)
+from pfrlab import (FinitePmf, Seed, UnsupportedEta, bound_rhs,
+                    delta_code_length, encode_delta, encode_plain, estimate_tail,
+                    plain_code_length, records_to_csv, run_trials, summary_stats)
 from pfrlab import redundancy
 from pfrlab.redundancy import CSV_HEADER
+from conftest import assert_same_table, head, rows
 
 SEED = Seed.from_int(2024)
 # the bound variants that are not clipped at 1
@@ -18,70 +20,95 @@ UNCLIPPED = (("PRR", "plain", "general"), ("PSDR", "plain", "psdr_simple"),
 
 
 @pytest.fixture(scope="module")
-def bsc_records(bsc_sol, uniform2, hamming2):
+def bsc_table(bsc_sol, uniform2, hamming2):
     return run_trials(bsc_sol, uniform2, hamming2, 4000, SEED)
 
 
 class TestRecords:
-    def test_lengths_match_codes(self, bsc_records):
-        for r in bsc_records[:500]:
-            assert r.len_plain == r.k.bit_length() - 1
-            n = r.k.bit_length()
-            assert r.len_delta == n + 2 * n.bit_length() - 2
+    def test_table_columns_follow_the_csv_header(self, bsc_table):
+        assert ",".join(bsc_table) == CSV_HEADER
+        assert {col.shape for col in bsc_table.values()} == {(4000,)}
+        assert bsc_table["trial"].tolist() == list(range(4000))
 
-    def test_tilted_shift_identity(self, bsc_sol, bsc_records):
+    def test_lengths_match_codes(self, bsc_table):
+        for k, lp, ld in rows(head(bsc_table, 500), "k", "len_plain", "len_delta"):
+            assert lp == k.bit_length() - 1
+            n = k.bit_length()
+            assert ld == n + 2 * n.bit_length() - 2
+
+    def test_tilted_shift_identity(self, bsc_sol, bsc_table):
         lam, d0 = bsc_sol.slope_lambda, bsc_sol.distortion
-        for r in bsc_records:
-            assert abs(r.j_xd - (r.j_x - lam * (r.dist - d0))) <= 1e-9
+        t = bsc_table
+        assert np.all(np.abs(t["j_xd"] - (t["j_x"] - lam * (t["dist"] - d0))) <= 1e-9)
 
-    def test_iota_identity(self, bsc_records):
-        for r in bsc_records:
-            assert abs(r.j_xd - r.iota) <= 1e-6
+    def test_iota_identity(self, bsc_table):
+        assert np.all(np.abs(bsc_table["j_xd"] - bsc_table["iota"]) <= 1e-6)
 
-    def test_redundancy_fields_consistent(self, bsc_sol, bsc_records):
-        for r in bsc_records[:500]:
-            lk = math.log2(r.k)
-            assert r.prr_plain == pytest.approx(lk - bsc_sol.rate, abs=1e-12)
-            assert r.psr_plain == pytest.approx(lk - r.j_x, abs=1e-12)
-            assert r.psdr_plain == pytest.approx(lk - r.j_xd, abs=1e-12)
-            assert r.prr_delta == pytest.approx(r.len_delta - bsc_sol.rate, abs=1e-12)
+    def test_redundancy_fields_consistent(self, bsc_sol, bsc_table):
+        for k, jx, jxd, ld, prr, psr, psdr, prr_d in rows(
+                head(bsc_table, 500), "k", "j_x", "j_xd", "len_delta",
+                "prr_plain", "psr_plain", "psdr_plain", "prr_delta"):
+            lk = math.log2(k)
+            assert prr == pytest.approx(lk - bsc_sol.rate, abs=1e-12)
+            assert psr == pytest.approx(lk - jx, abs=1e-12)
+            assert psdr == pytest.approx(lk - jxd, abs=1e-12)
+            assert prr_d == pytest.approx(ld - bsc_sol.rate, abs=1e-12)
 
-    def test_mean_distortion_near_target(self, bsc_sol, bsc_records):
-        dist = np.array([r.dist for r in bsc_records])
+    def test_plain_redundancies_use_math_log2(self, bsc_sol, uniform2, hamming2,
+                                              monkeypatch):
+        # np.log2 is 1 ulp off math.log2 at these k; the CSV digits follow math.log2
+        ks = [1621, 3242, 6484, 7957, 12968, 1621, 1]
+        log_k, len_plain, len_delta = redundancy._per_k(
+            np.array(ks), math.log2, plain_code_length, delta_code_length)
+        assert [v.hex() for v in log_k.tolist()] == [math.log2(k).hex() for k in ks]
+        assert len_plain.tolist() == [len(encode_plain(k)) for k in ks]
+        assert len_delta.tolist() == [len(encode_delta(k)) for k in ks]
+        monkeypatch.setattr(redundancy, "select_span",
+                            lambda seed, span, targets, xs, q: (np.array(ks), xs))
+        t = run_trials(bsc_sol, uniform2, hamming2, len(ks), SEED)
+        for k, j_x, j_xd, prr, psr, psdr in rows(
+                t, "k", "j_x", "j_xd", "prr_plain", "psr_plain", "psdr_plain"):
+            lk = math.log2(k)
+            assert prr.hex() == (lk - bsc_sol.rate).hex()
+            assert psr.hex() == (lk - j_x).hex()
+            assert psdr.hex() == (lk - j_xd).hex()
+
+    def test_mean_distortion_near_target(self, bsc_sol, bsc_table):
+        dist = bsc_table["dist"]
         se = dist.std(ddof=1) / math.sqrt(dist.size)
         assert abs(dist.mean() - bsc_sol.distortion) <= 3 * se + 1e-9
 
     def test_deterministic_and_threaded(self, bsc_sol, uniform2, hamming2):
         a = run_trials(bsc_sol, uniform2, hamming2, 500, SEED)
         b = run_trials(bsc_sol, uniform2, hamming2, 500, SEED)
-        assert a == b
+        assert_same_table(a, b)
 
     def test_prefix_independent_of_total(self, bsc_sol, uniform2, hamming2):
         a = run_trials(bsc_sol, uniform2, hamming2, 50, SEED)
         b = run_trials(bsc_sol, uniform2, hamming2, 200, SEED)
-        assert a == b[:50]
+        assert_same_table(a, head(b, 50))
 
 
 class TestTails:
-    def test_vacuous_thresholds(self, bsc_records):
-        assert estimate_tail(bsc_records, "PRR", "plain", -1e6).p_hat == 1.0
-        assert estimate_tail(bsc_records, "PRR", "plain", 1e6).p_hat == 0.0
+    def test_vacuous_thresholds(self, bsc_table):
+        assert estimate_tail(bsc_table, "PRR", "plain", -1e6).p_hat == 1.0
+        assert estimate_tail(bsc_table, "PRR", "plain", 1e6).p_hat == 0.0
 
     def test_single_trial(self, bsc_sol, uniform2, hamming2):
         recs = run_trials(bsc_sol, uniform2, hamming2, 1, SEED)
         t = estimate_tail(recs, "PSDR", "delta", 0.0)
         assert t.p_hat in (0.0, 1.0) and t.std_err == 0.0 and t.n == 1
 
-    def test_std_err_formula(self, bsc_records):
-        t = estimate_tail(bsc_records, "PSR", "plain", 0.5)
+    def test_std_err_formula(self, bsc_table):
+        t = estimate_tail(bsc_table, "PSR", "plain", 0.5)
         assert t.std_err == pytest.approx(
             math.sqrt(t.p_hat * (1 - t.p_hat) / t.n), abs=1e-15)
 
-    def test_unknown_kind_rejected(self, bsc_records):
+    def test_unknown_kind_rejected(self, bsc_table):
         with pytest.raises(UnsupportedEta):
-            estimate_tail(bsc_records, "XYZ", "plain", 0.0)
+            estimate_tail(bsc_table, "XYZ", "plain", 0.0)
         with pytest.raises(ValueError):
-            estimate_tail(bsc_records, "PRR", "huffman", 0.0)
+            estimate_tail(bsc_table, "PRR", "huffman", 0.0)
 
 
 class TestBoundRhs:
@@ -118,11 +145,11 @@ class TestBoundRhs:
                 assert clip <= 1.0 + 1e-12
 
     def test_empirical_tails_below_bounds(self, bsc_sol, uniform2, hamming2,
-                                          bsc_records):
+                                          bsc_table):
         for eta in ("PRR", "PSR", "PSDR"):
             for code in ("plain", "delta"):
                 for g in range(-2, 11):
-                    t = estimate_tail(bsc_records, eta, code, g)
+                    t = estimate_tail(bsc_table, eta, code, g)
                     rhs = bound_rhs(bsc_sol, uniform2, hamming2, eta, code, g)
                     assert t.p_hat - 3 * t.std_err <= rhs + 1e-12
 
@@ -178,8 +205,8 @@ class TestBoundRhs:
 
 
 class TestSummary:
-    def test_targets_and_bounds(self, bsc_sol, bsc_records):
-        s = summary_stats(bsc_records, bsc_sol)
+    def test_targets_and_bounds(self, bsc_sol, bsc_table):
+        s = summary_stats(bsc_table, bsc_sol)
         assert s.rate == bsc_sol.rate
         assert s.plain_target == pytest.approx(bsc_sol.rate + 2.01)
         assert s.delta_target == pytest.approx(
@@ -189,15 +216,14 @@ class TestSummary:
         assert s.entropy_k <= s.entropy_k_bound + 0.05
         assert abs(s.mean_j_x - bsc_sol.rate) <= 3 * s.se_j_x + 1e-9
 
-    def test_mean_log_k_below_rate_plus_one(self, bsc_sol, bsc_records):
-        s = summary_stats(bsc_records, bsc_sol)
+    def test_mean_log_k_below_rate_plus_one(self, bsc_sol, bsc_table):
+        s = summary_stats(bsc_table, bsc_sol)
         assert s.mean_log2_k + 3 * s.se_log2_k <= bsc_sol.rate + 1.0
 
-    def test_prefix_free_means_nonnegative(self, bsc_records):
+    def test_prefix_free_means_nonnegative(self, bsc_table):
         # prefix-free redundancies have nonnegative expectation
         for eta in ("PRR", "PSR", "PSDR"):
-            vals = np.array([getattr(r, f"{eta.lower()}_delta")
-                             for r in bsc_records])
+            vals = bsc_table[f"{eta.lower()}_delta"]
             se = vals.std(ddof=1) / math.sqrt(vals.size)
             assert vals.mean() >= -3 * se
 
@@ -210,16 +236,16 @@ class TestDegenerateSource:
         sol = solve_at_distortion(src, d, 0.0)
         assert sol.rate == 0.0
         recs = run_trials(sol, src, d, 2000, SEED)
-        assert all(r.iota == 0.0 for r in recs)
-        assert all(r.k == 1 for r in recs)  # constant ratio: first point wins
+        assert np.all(recs["iota"] == 0.0)
+        assert np.all(recs["k"] == 1)  # constant ratio: first point wins
         s = summary_stats(recs, sol)
         assert s.mean_len_plain <= 2.01
 
 
 class TestCsv:
-    def test_schema_and_digits(self, bsc_records):
+    def test_schema_and_digits(self, bsc_table):
         buf = io.StringIO()
-        records_to_csv(bsc_records[:50], buf)
+        records_to_csv(head(bsc_table, 50), buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 51

@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .prob import (FinitePmf, Seed, SymbolId, _counter_blocks, _encode_label, _kdf,
-                   key_words, unit_interval, unit_interval_oc)
+from .prob import (FinitePmf, Seed, SymbolId, _encode_label, _kdf, _kdf_many,
+                   block_words, key_words, unit_interval, unit_interval_oc)
 
 _BLOCK = 8
 
@@ -51,13 +51,9 @@ def span_keys(seed: Seed, trials, role: str, *labels) -> list:
 
     One list of keys per label tuple; each subseed is derived once.
     """
-    root, role = seed.value, _encode_label(role)
-    subs = [_subseed(root, t, role) for t in trials]
-    out = []
-    for ls in labels:
-        parts = [_encode_label(x) for x in ls]
-        out.append([_kdf(sub, *parts) for sub in subs])
-    return out
+    subs = _kdf_many((seed.value,), [struct.pack(">q", t) for t in trials],
+                     (_encode_label(role),))
+    return [_kdf_many((), subs, [_encode_label(x) for x in ls]) for ls in labels]
 
 
 def stream_keys(seed: Seed, trials, role: str, *labels) -> tuple:
@@ -93,9 +89,7 @@ def draw_points(gap_keys, mark_keys, cum: np.ndarray, start: int, n: int,
 
 def nth_marks(mark_keys, ks: np.ndarray, cum: np.ndarray) -> np.ndarray:
     """The mark of point ks[i] of stream i: mark word ks[i] - 1, whatever the gaps."""
-    buf = b"".join([_counter_blocks(key, (k - 1) // 4, 1)
-                    for key, k in zip(mark_keys, ks.tolist())])
-    words = np.frombuffer(buf, dtype=">u8").reshape(-1, 4)
+    words = block_words(mark_keys, ((ks - 1) // 4).tolist())
     return np.searchsorted(cum, unit_interval(words[np.arange(len(ks)), (ks - 1) % 4]),
                            side="right")
 

@@ -69,6 +69,9 @@ class GwModel:
             raise ValueError("y1_kernel must have n1*nu rows")
         if self.y2_kernel.shape[0] != n2 * nu:
             raise ValueError("y2_kernel must have n2*nu rows")
+        # the re-sort tables reject a model with iota(u; y) = +inf for a
+        # drawable y (a p(u) so small that 1 / p(y) overflows): build them now
+        self.sides
 
     @property
     def n1(self) -> int:

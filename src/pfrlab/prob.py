@@ -31,28 +31,47 @@ def _kdf(*parts: bytes) -> bytes:
     return h.digest()
 
 
+def _frame(parts) -> bytes:
+    return b"".join([struct.pack(">I", len(p)) + p for p in parts])
+
+
+def _kdf_many(heads, middles, tails) -> list:
+    """[_kdf(*heads, m, *tails) for m in middles], for middles of one length.
+
+    The same keys, with the constant parts and the middles' length prefix
+    framed once, and one SHA-256 call per key.
+    """
+    widths = set(map(len, middles))
+    if len(widths) > 1:
+        raise ValueError("_kdf_many needs middles of one length")
+    sha256, tail = hashlib.sha256, _frame(tails)
+    head = _frame(heads) + struct.pack(">I", widths.pop() if widths else 0)
+    return [sha256(head + m + tail).digest() for m in middles]
+
+
 @lru_cache(maxsize=256)
 def _counters(first: int, count: int) -> tuple:
     return tuple(c.to_bytes(8, "big") for c in range(first, first + count))
-
-
-def _counter_blocks(key: bytes, first: int, count: int) -> bytes:
-    """Blocks first .. first + count - 1 of RngState(key), 4 words each.
-
-    Block c is SHA-256(key || c as 8 big-endian bytes), as in RngState.uint64.
-    """
-    sha256 = hashlib.sha256
-    return b"".join([sha256(key + c).digest() for c in _counters(first, count)])
 
 
 def key_words(keys, first: int, count: int) -> np.ndarray:
     """Words 4*first .. 4*(first + count) - 1 of RngState(key), one row per key.
 
     The batched form of RngState.uint64 for streams that all stand at the
-    same block-aligned position.
+    same block-aligned position.  Block c is SHA-256(key || c as 8 big-endian
+    bytes), 4 words each, as in RngState.uint64.
     """
-    buf = b"".join([_counter_blocks(k, first, count) for k in keys])
+    sha256, counters = hashlib.sha256, _counters(first, count)
+    buf = b"".join([sha256(k + c).digest() for k in keys for c in counters])
     return np.frombuffer(buf, dtype=">u8").reshape(len(keys), 4 * count)
+
+
+def block_words(keys, blocks) -> np.ndarray:
+    """Words 4*c .. 4*c + 3 of RngState(key) for each key and its block c."""
+    sha256 = hashlib.sha256
+    buf = b"".join([sha256(k + c.to_bytes(8, "big")).digest()
+                    for k, c in zip(keys, blocks)])
+    return np.frombuffer(buf, dtype=">u8").reshape(-1, 4)
 
 
 def unit_interval(words: np.ndarray) -> np.ndarray:
@@ -174,7 +193,7 @@ class FinitePmf:
         a.flags.writeable = False
         object.__setattr__(self, "probs", a)
         cum = np.cumsum(a)
-        cum[-1] = max(cum[-1], 1.0)
+        cum[np.flatnonzero(a)[-1]:] = np.inf
         cum.flags.writeable = False
         object.__setattr__(self, "_cum", cum)
 
@@ -189,7 +208,12 @@ class FinitePmf:
         return np.flatnonzero(self.probs > 0)
 
     def cumulative(self) -> np.ndarray:
-        """Cumulative sums with the last entry pinned to 1 for inverse-CDF use."""
+        """Cumulative sums for inverse-CDF use, +inf from the last symbol with mass on.
+
+        searchsorted(cum, u, side="right") of any u in [0, 1] is a symbol of
+        the support, even for u = 1.0 (the top 2^10 words) or u past a sum
+        that rounds below 1.
+        """
         return self._cum
 
     @classmethod

@@ -1,15 +1,36 @@
+import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
-from pfrlab import DistortionMatrix, FinitePmf, solve_at_distortion
+from pfrlab import DistortionMatrix, FinitePmf, prob, solve_at_distortion
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 def binary_entropy(p: float) -> float:
     if p in (0.0, 1.0):
         return 0.0
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+
+
+def patch_first_words(monkeypatch, words):
+    """Make prob's SHA-256 of each counter block in words (key + 8-byte counter)
+    start with the given 64-bit word, for the streaming and batched readers alike.
+    """
+    real = hashlib.sha256
+
+    def sha256(data=b""):
+        h = real(data)
+        if data not in words:
+            return h
+        return SimpleNamespace(
+            digest=lambda: words[data].to_bytes(8, "big") + h.digest()[8:])
+
+    monkeypatch.setattr(prob, "hashlib", SimpleNamespace(sha256=sha256))
 
 
 def head(table, n):

@@ -1,8 +1,12 @@
+import copy
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pfrlab.cli import main
 from conftest import binary_entropy
@@ -324,3 +328,77 @@ class TestExitCodes:
         out.write_text("")
         assert main(["redundancy-sweep", "--config", cfg, "--out", str(out)]) == 2
         assert "--out" in capsys.readouterr().err
+
+
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+DEMO_CONFIGS = ("bsc_sweep.json", "gw_common_bit.json", "pfr_verify.json")
+DROP = "<drop>"
+RAGGED = [["0.5", "0.5"], ["1"]]
+MUTATIONS = (DROP, None, True, "x", -1, -0.5, 1e308, RAGGED)
+# u = 1 has p(u) = 2.5e-309, so iota(1; y) = log2(p(y | 1) / p(y)) overflows;
+# the model used to pass validation and raise a ValueError in the run
+TINY_U_ROW = ((("gray_wyner", "u_kernel", 3), ["1", 1e-308]),)
+
+
+def json_paths(node, prefix=()):
+    """The path to every dict field and list entry of a JSON tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+def mutate(cfg, path, value):
+    *where, last = path
+    for key in where:
+        cfg = cfg[key]
+    if value == DROP:
+        del cfg[last]
+    else:
+        cfg[last] = copy.deepcopy(value)
+
+
+@st.composite
+def demo_mutations(draw):
+    """(demo config name, trials <= 200, one or two (path, mutation) pairs)."""
+    name = draw(st.sampled_from(DEMO_CONFIGS))
+    cfg = json.loads((DEMOS / name).read_text())
+    edits = []
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        paths = sorted(json_paths(cfg), key=repr)
+        if not paths:
+            break
+        edits.append((draw(st.sampled_from(paths)), draw(st.sampled_from(MUTATIONS))))
+        mutate(cfg, *edits[-1])
+    return name, draw(st.integers(min_value=1, max_value=200)), tuple(edits)
+
+
+def run_mutated(name, trials, edits):
+    """Exit code of the demo's subcommand on the demo config with trials and edits."""
+    cfg = json.loads((DEMOS / name).read_text())
+    mode = cfg["mode"]
+    cfg["trials"] = trials
+    for path, value in edits:
+        mutate(cfg, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        return main([mode, "--config", str(config), "--out", tmp])
+
+
+class TestExitCodeFuzz:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(case=demo_mutations())
+    @example(case=("gw_common_bit.json", 50, TINY_U_ROW))
+    def test_every_exit_is_documented(self, case):
+        assert run_mutated(*case) in {0, 1, 2, 3, 4}
+
+    def test_unresortable_gw_model_exit_2(self, capsys):
+        assert run_mutated("gw_common_bit.json", 50, TINY_U_ROW) == 2
+        assert "'gray_wyner'" in capsys.readouterr().err

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pfrlab import FinitePmf, Seed, arrival_stream, derive_subseed
-from pfrlab.codebook import draw_points, stream_keys
+from pfrlab.codebook import draw_points, span_keys, stream_keys
+from conftest import PROPERTY
 
 
 def take(stream, n):
@@ -90,6 +93,35 @@ class TestSubseeds:
     def test_role_separates(self):
         s = Seed.from_int(0)
         assert derive_subseed(s, 0, "codebook") != derive_subseed(s, 0, "source")
+
+
+INT64 = st.integers(min_value=-2**63, max_value=2**63 - 1)
+trial_ids = st.one_of(st.sampled_from([-2**63, -1, 0, 2**32, 2**63 - 1]), INT64)
+labels = st.one_of(st.text(max_size=8), st.binary(max_size=80), INT64)
+seeds = st.binary(min_size=32, max_size=32).map(Seed)
+
+
+class TestBatchedKeysProperty:
+    """span_keys and stream_keys against one _kdf chain per trial."""
+
+    @PROPERTY
+    @given(seed=seeds, trials=st.lists(trial_ids, max_size=6), role=st.text(max_size=8),
+           label_tuples=st.lists(st.lists(labels, max_size=3).map(tuple),
+                                 min_size=1, max_size=3))
+    @example(seed=Seed(bytes(32)), trials=[-1, 0, 2**32, 2**63 - 1], role="codebook",
+             label_tuples=[("codebook", "gaps"), (b"\xff" * 100,), (-5, "marks"), ()])
+    def test_span_keys(self, seed, trials, role, label_tuples):
+        want = [[derive_subseed(seed, t, role).stream(*ls)._key for t in trials]
+                for ls in label_tuples]
+        assert span_keys(seed, trials, role, *label_tuples) == want
+
+    @PROPERTY
+    @given(seed=seeds, trials=st.lists(trial_ids, max_size=6), role=st.text(max_size=8),
+           names=st.lists(st.text(max_size=8), max_size=3))
+    def test_stream_keys(self, seed, trials, role, names):
+        want = [[derive_subseed(seed, t, role).stream(name, part)._key for t in trials]
+                for name in names or [role] for part in ("gaps", "marks")]
+        assert list(stream_keys(seed, trials, role, *names)) == want
 
 
 class TestPointLaw:

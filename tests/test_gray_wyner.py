@@ -1,21 +1,19 @@
-import hashlib
 import math
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from pfrlab import (FinitePmf, GwModel, Kernel, ResortedStream, Seed,
                     UnsupportedPoint, arrival_stream, derive_subseed, gw_decode,
                     gw_dominance_params, gw_encode, gw_run_trials, resort_tables,
                     sample_pmf)
-from pfrlab import gray_wyner, prob, redundancy
+from pfrlab import gray_wyner, redundancy
 from pfrlab.codebook import stream_keys
 from pfrlab.gray_wyner import GW_CSV_HEADER, gw_decode_trials
-from conftest import assert_same_table, group_rows, rows
+from conftest import PROPERTY, assert_same_table, group_rows, patch_first_words, rows
 
 SEED = Seed.from_int(99)
 
@@ -248,9 +246,6 @@ class TestLaws:
             assert (x1, x2) == divmod(pair, m.n2)
 
 
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
-
-
 def sparse_model(model_seed, n1, n2, nu, ny1, ny2, dead_u):
     """Random model whose kernels hold zeros.
 
@@ -324,16 +319,9 @@ class TestBatchedEqualsStreaming:
         # gap word 2^64 - 1 gives a zero gap, which the stream regenerates;
         # force one at block 0 of one trial's gw-u and another's gw-y1 stream
         seed, model, n = Seed.from_int(31), random_model(9), 40
-        blocks = {stream_keys(seed, [t], "gw", label)[0][0] + bytes(8)
+        blocks = {stream_keys(seed, [t], "gw", label)[0][0] + bytes(8): 2**64 - 1
                   for t, label in ((7, "gw-u"), (12, "gw-y1"))}
-
-        def sha256(data=b""):
-            h = hashlib.sha256(data)
-            if data not in blocks:
-                return h
-            return SimpleNamespace(digest=lambda: b"\xff" * 8 + h.digest()[8:])
-
-        monkeypatch.setattr(prob, "hashlib", SimpleNamespace(sha256=sha256))
+        patch_first_words(monkeypatch, blocks)
         calls = Counter()
 
         def counted(mod, name):
@@ -355,6 +343,6 @@ class TestBatchedEqualsStreaming:
         # Decoding u reads mark words only, so the gw-u gap has no effect there
         assert calls == {"pfr_select": 1, "gw_encode": 1, "gw_decode": 1}
         monkeypatch.undo()
-        monkeypatch.setattr(prob, "hashlib", SimpleNamespace(sha256=sha256))
+        patch_first_words(monkeypatch, blocks)
         assert_batched_equals_streaming(model, n, seed)
         assert [tuple(d) for d in decoded] == rows(recs, "u", "y1", "y2")

@@ -1,10 +1,9 @@
 import hashlib
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from pfrlab import (AbsoluteContinuityViolated, FinitePmf, GwModel, Kernel, Seed,
@@ -14,7 +13,7 @@ from pfrlab import (AbsoluteContinuityViolated, FinitePmf, GwModel, Kernel, Seed
 from pfrlab import prob, redundancy
 from pfrlab.codebook import draw_points, stream_keys
 from pfrlab.redundancy import _CHUNK, select_span
-from conftest import binary_entropy
+from conftest import PROPERTY, binary_entropy, patch_first_words
 
 TARGET = FinitePmf(np.array([0.8, 0.2]))
 UNIFORM = FinitePmf.uniform(2)
@@ -183,7 +182,6 @@ def assert_exact_selection(target, proposal, make_stream):
 
 
 weights = st.integers(min_value=0, max_value=20)
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
@@ -280,14 +278,7 @@ class TestBatchedScanProperty:
         # counter block 0 of the victim's gap stream starts with word 2^64 - 1,
         # for the streaming and the batched reader alike
         block0 = stream_keys(seed, [victim], "codebook")[0][0] + bytes(8)
-
-        def sha256(data=b""):
-            h = hashlib.sha256(data)
-            if data != block0:
-                return h
-            return SimpleNamespace(digest=lambda: b"\xff" * 8 + h.digest()[8:])
-
-        monkeypatch.setattr(prob, "hashlib", SimpleNamespace(sha256=sha256))
+        patch_first_words(monkeypatch, {block0: 2**64 - 1})
         fallbacks = []
 
         def counted(*args, **kwargs):
@@ -302,6 +293,22 @@ class TestBatchedScanProperty:
         assert got == streaming(seed, trials, [target], xs, proposal)
         monkeypatch.setattr(prob, "hashlib", hashlib)
         assert got != streaming(seed, trials, [target], xs, proposal)
+
+    def test_top_mark_word_draws_in_the_support(self, monkeypatch):
+        # mark word 2^64 - 1 maps to 1.0, at or past every cumulative sum: it
+        # draws the last symbol with mass, never symbol 3 or an index past the end
+        seed, trials, victim = Seed.from_int(78), range(5, 25), 15
+        target = FinitePmf(np.array([0.05, 0.15, 0.8, 0.0]))
+        proposal = FinitePmf(np.array([0.5, 0.3, 0.2, 0.0]))
+        block0 = stream_keys(seed, [victim], "codebook")[1][0] + bytes(8)
+        patch_first_words(monkeypatch, {block0: 2**64 - 1})
+        stream = arrival_stream(derive_subseed(seed, victim, "codebook"), "codebook",
+                                proposal)
+        assert stream.next_marked_point().mark == 2
+        xs = np.zeros(len(trials), dtype=np.int64)
+        ks, ys = select_span(seed, trials, [target], xs, proposal)
+        assert list(zip(ks.tolist(), ys.tolist())) == streaming(
+            seed, trials, [target], xs, proposal)
 
 
 class TestExpectedLogKBound:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ import pytest
 from pfrlab import (AbsoluteContinuityViolated, FinitePmf, Kernel, Seed,
                     UnsupportedOutput, entropy, information_density,
                     kl_divergence, mutual_information, sample_pmf)
-from pfrlab.prob import RngState, sample_pmf_keys
-from conftest import binary_entropy
+from pfrlab.prob import RngState, _kdf, _kdf_many, sample_pmf_keys
+from conftest import binary_entropy, patch_first_words
 
 
 def pmf(*vals):
@@ -208,6 +209,33 @@ class TestSampling:
         want = [sample_pmf(p, RngState(key)) for key in keys]
         assert got.tolist() == want
         assert np.all(p.probs[got] > 0.0)
+
+    @pytest.mark.parametrize("word", [2**64 - 1, 2**64 - 1025, 2**64 - 2048])
+    def test_top_words_draw_in_the_support(self, monkeypatch, word):
+        # word / 2^64 rounds to 1.0, or to 1 - 2^-53: the sum of the first three
+        # probabilities, so "right" of it used to be the zero-mass symbol 3
+        p = pmf(0.7, 0.2, 0.1, 0.0)
+        key = Seed.from_int(4).stream("draw")._key
+        patch_first_words(monkeypatch, {key + bytes(8): word})
+        assert sample_pmf(p, RngState(key)) == 2
+        assert sample_pmf_keys(p, [key]).tolist() == [2]
+
+
+class TestKeyDerivation:
+    def test_kdf_known_answer(self):
+        # SHA-256 over each part prefixed by its 4-byte big-endian length;
+        # pins the framing that every key, batched or streaming, is built on
+        key = _kdf(b"pfrlab", struct.pack(">q", -1), b"codebook")
+        assert key.hex() == ("7da8e02572077856d4e578905c643670"
+                             "402fcea7eacf802027856f14dc269900")
+
+    def test_batched_form(self):
+        middles = [struct.pack(">q", t) for t in (-1, 0, 2**40)]
+        assert _kdf_many((b"pfrlab",), middles, (b"codebook", b"")) == [
+            _kdf(b"pfrlab", m, b"codebook", b"") for m in middles]
+        assert _kdf_many((), [], (b"x",)) == []
+        with pytest.raises(ValueError):
+            _kdf_many((), [b"ab", b"abc"], ())
 
 
 class TestRngState:

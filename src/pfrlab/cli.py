@@ -9,7 +9,8 @@ Exit codes:
     0  success, all requested checks pass
     1  a requested check failed (a bound or law violated empirically)
     2  config or flag parse/validation failure, including a null required
-       field, a target_D below the minimum distortion and an unusable --out
+       field, trials above MAX_TRIALS, a target_D below the minimum distortion
+       and an unusable --out
     3  solver non-convergence
     4  gray-wyner round-trip mismatch (internal invariant breach)
 """
@@ -30,8 +31,13 @@ from .gray_wyner import (GwModel, gw_decode, gw_decode_trials, gw_encode,
 from .pfr import dominance_parameter, geometric_parameter_exact, pfr_select
 from .prob import DistortionMatrix, FinitePmf, Kernel, Seed, kl_divergence
 from .rd import ba_fixed_slope, solve_at_distortion
-from .redundancy import (CODE_KINDS, ETA_KINDS, _mean_se, bound_rhs, chunk_spans,
-                         estimate_tail, records_to_csv, run_trials, select_span)
+from .redundancy import (_SPAN, CODE_KINDS, ETA_KINDS, _mean_se, bound_rhs,
+                         chunk_spans, estimate_tail, records_to_csv, run_trials,
+                         select_span)
+
+
+# a run keeps about 128 B of trial columns per trial in memory: 1.3 GB at the ceiling
+MAX_TRIALS = 10 ** 7
 
 
 class ConfigError(PfrlabError):
@@ -139,8 +145,10 @@ def load_config(path: str, mode: str, trials_override=None,
 
     trials = raw.get("trials")
     if trials is not None:
-        if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-            raise ConfigError("trials", f"must be an integer >= 1, got {trials!r}")
+        if (not isinstance(trials, int) or isinstance(trials, bool)
+                or not 1 <= trials <= MAX_TRIALS):
+            raise ConfigError("trials", f"must be an integer from 1 to {MAX_TRIALS}, "
+                                        f"got {trials!r}")
 
     seed = None
     if raw.get("seed") is not None:
@@ -250,7 +258,7 @@ def cmd_verify_pfr(cfg: ExperimentConfig, out_dir: str) -> int:
 
     # the batched engine; the replay checks below rerun trials with pfr_select
     parts = [select_span(seed, span, [target], np.zeros(len(span), dtype=np.int64),
-                         proposal) for span in chunk_spans(n)]
+                         proposal) for span in chunk_spans(n, _SPAN)]
     ks, ys = (np.concatenate(col) for col in zip(*parts))
     m = len(target)
     checks = []

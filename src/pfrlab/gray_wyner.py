@@ -30,7 +30,7 @@ from .codebook import (CodebookStream, MarkedPoint, arrival_stream, derive_subse
 from .errors import UnsupportedPoint
 from .pfr import pfr_scan_rows, pfr_select
 from .prob import FinitePmf, Kernel, Seed, SymbolId, kl_divergence
-from .redundancy import (_per_k, _round_points, _write_table, chunk_spans,
+from .redundancy import (_CHUNK, _per_k, _round_points, _write_table, chunk_spans,
                          scan_rounds, select_span, trial_chunks)
 
 GW_CSV_HEADER = "trial,x1,x2,u,y1,y2,k0,k1,k2,len0,len1,len2"
@@ -279,7 +279,8 @@ class GwSide:
             return ~done
 
         n = bound.max() if ks is None else np.mean(r * ks)
-        scan_rounds(keys, self.p_y.cumulative(), _round_points(float(n)), step, fallback)
+        scan_rounds(keys, self.p_y.cumulative(), _round_points(float(n), len(us)), step,
+                    fallback)
         return k, y
 
 
@@ -330,7 +331,7 @@ def gw_run_trials(model: GwModel, n: int, seed: Seed) -> dict:
     u_rows = [row if w > 0 else model.p_u
               for row, w in zip(model._u_rows, model.source_pmf.probs)]
     parts = []
-    for span, pairs in trial_chunks(model.source_pmf, seed, n):
+    for span, pairs in trial_chunks(model.source_pmf, seed, n, _CHUNK):
         keys, zero = stream_keys(seed, span, "gw", "gw-u", "gw-y1", "gw-y2"), set()
         k0, u = select_span(seed, span, u_rows, pairs, model.p_u,
                             role="gw", label="gw-u", keys=keys[:2])
@@ -352,7 +353,7 @@ def gw_decode_trials(model: GwModel, seed: Seed, ks: np.ndarray) -> np.ndarray:
     """(u, y1, y2) of gw_decode(model, *ks[t], derive_subseed(seed, t, "gw")) for
     each row t of the (n, 3) array ks, a chunk at once; zero gaps rerun a trial."""
     out = np.empty(ks.shape, dtype=np.int64)
-    for span in chunk_spans(len(ks)):
+    for span in chunk_spans(len(ks), _CHUNK):
         keys, zero = stream_keys(seed, span, "gw", "gw-u", "gw-y1", "gw-y2"), set()
         k0, k1, k2 = ks[span.start:span.stop].T
         u = out[span, 0] = nth_marks(keys[1], k0, model.p_u.cumulative())

@@ -18,14 +18,19 @@ Every trial derives its own seed from (seed, trial index), so its row does
 not depend on how trials are grouped; one single-threaded loop over
 :func:`trial_chunks` drives both the sweep here and the Gray-Wyner trials.
 
-The trial engine works on chunks of _CHUNK trials.  For a chunk it derives
-every trial's keys in one pass, draws the source symbols at once, and runs
-the selections side by side (:func:`select_span`): each round of
+The trial engine works on spans of trials.  For a span it derives every
+trial's keys in one pass, draws the source symbols at once, and runs the
+selections side by side (:func:`select_span`): each round of
 :func:`scan_rounds` draws the next points of every unfinished scan and
 applies the stop rule to all of them with pfr_scan_rows.  The results equal
-those of one pfr_select per trial, bit for bit; the engine falls back to
-pfr_select for a trial whose drawn gaps hold a zero.  The Gray-Wyner common
-index runs on select_span too, and its private indices on scan_rounds.
+those of one pfr_select per trial, bit for bit, whatever the span and round
+sizes; the engine falls back to pfr_select for a trial whose drawn gaps hold
+a zero.  The sweep selects over spans of _SPAN = 1024 trials, where rounds
+of one 8-point time group are cheap enough that each scan draws just the
+groups its stop rule examines (:func:`_round_points`).  The Gray-Wyner
+trials keep chunks of _CHUNK = 128, because their private scans hold every
+drawn base point of a chunk: the common index runs on select_span, its
+private indices on scan_rounds.
 """
 
 import math
@@ -42,10 +47,10 @@ from .pfr import _ratio_rows, pfr_scan_rows, pfr_select
 from .prob import DistortionMatrix, FinitePmf, Seed, entropy, sample_pmf_keys
 from .rd import RdSolution, tilted_information
 
-# trials per chunk of the engine; bounds its working arrays whatever n is
+# trials per span of the sweep's selections, and per Gray-Wyner chunk and CSV
+# batch; each bounds its working arrays whatever n is
+_SPAN = 1024
 _CHUNK = 128
-# points per scan in a round, at most: 2^18 for a whole chunk, whatever f_max is
-_ROUND_CAP = 2 ** 18 // _CHUNK
 
 ETA_KINDS = ("PRR", "PSR", "PSDR")
 CODE_KINDS = ("plain", "delta")
@@ -94,32 +99,40 @@ def _targets(sol: RdSolution) -> tuple:
     return tuple(sol.kernel.row(x) for x in range(sol.kernel.shape[0]))
 
 
-def chunk_spans(n: int):
-    """The _CHUNK-trial spans of range(n), in order."""
+def chunk_spans(n: int, width: int):
+    """The spans of range(n) of width trials each (the last may be shorter), in order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return (range(c, min(c + _CHUNK, n)) for c in range(0, n, _CHUNK))
+    return (range(c, min(c + width, n)) for c in range(0, n, width))
 
 
-def trial_chunks(source: FinitePmf, seed: Seed, n: int):
-    """(span, xs) per span of chunk_spans(n); xs are the trials' source draws."""
-    for span in chunk_spans(n):
+def trial_chunks(source: FinitePmf, seed: Seed, n: int, width: int):
+    """(span, xs) per span of chunk_spans(n, width); xs are the trials' source
+    draws, which do not depend on width."""
+    for span in chunk_spans(n, width):
         keys = span_keys(seed, span, "source", ("draw",))[0]
         yield span, sample_pmf_keys(source, keys)
 
 
-def _round_points(f_max: float) -> int:
-    """Points each round draws per unfinished scan: about 3/4 of f_max + 1.
+def _round_points(f_max: float, rows: int) -> int:
+    """Points each round draws per unfinished scan: whole 8-point time groups,
+    about 2 sqrt(f_max + 1) points and at least one group.
 
-    A scan examines f_max + 1 points on average, with a long geometric-like
-    tail.  Rounds of 3/4 of that mean keep both the points drawn past the
-    stop and the number of rounds low; _ROUND_CAP bounds a round's memory.
+    A scan examines about f_max + 1 points, with a long geometric-like tail.
+    A round of n points overshoots a scan's stop by about n / 2 points, and
+    a span of rows scans needs about (f_max + 1) ln(rows) / n rounds, each
+    with a fixed cost of some 100 us of numpy calls.  The sum of the two is
+    least at n proportional to sqrt(f_max + 1); at 1024 rows and f_max = 32
+    that is one time group (8 points) per round, so each scan draws its
+    examined points rounded up to whole groups.  The round is capped at
+    2^18 // rows points per scan, so it draws at most 2^18 points.
     """
-    return min(_BLOCK * math.ceil(0.75 * (f_max + 1.0) / _BLOCK), _ROUND_CAP)
+    cap = max(1, 2 ** 18 // (rows * _BLOCK))
+    return _BLOCK * max(1, round(min(2.0 * math.sqrt(f_max + 1.0) / _BLOCK, cap)))
 
 
 def scan_rounds(keys, cum: np.ndarray, n: int, step, fallback) -> None:
-    """Rounds of the next n points of each live stream i of a chunk (gap key
+    """Rounds of the next n points of each live stream i of a span (gap key
     keys[0][i], mark key keys[1][i]) until step(live, start, times, marks) says
     it needs no more; a zero gap sends it to fallback(i), the streaming path."""
     gap_keys, mark_keys = keys
@@ -142,7 +155,9 @@ def select_span(seed: Seed, span, targets, xs, proposal: FinitePmf,
 
     Stream i is arrival_stream(derive_subseed(seed, span[i], role), label,
     proposal), keys its stream_keys if given.  The results equal the streaming
-    scan's, bit for bit.  The working arrays grow with the span (one chunk).
+    scan's, bit for bit, whatever the span.  Rounds follow _round_points at the
+    span's largest f_max, so a round's arrays hold at most 2^18 points; the
+    other working arrays grow with the span.
     """
     f, f_max = _ratio_rows(tuple(targets), proposal)
     k, y = np.zeros((2, len(span)), dtype=np.int64)
@@ -165,7 +180,7 @@ def select_span(seed: Seed, span, targets, xs, proposal: FinitePmf,
         k[i], y[i] = res.k, res.y
 
     scan_rounds(keys or stream_keys(seed, span, role, label), proposal.cumulative(),
-                _round_points(float(scale.max())), step, fallback)
+                _round_points(float(scale.max()), len(span)), step, fallback)
     return k, y
 
 
@@ -182,7 +197,7 @@ def run_trials(sol: RdSolution, source: FinitePmf, d: DistortionMatrix,
     iota, j_x, j_xd = _tables(sol)
     targets, q = _targets(sol), sol.output_marginal
     chunks = [(xs, *select_span(seed, span, targets, xs, q))
-              for span, xs in trial_chunks(source, seed, n)]
+              for span, xs in trial_chunks(source, seed, n, _SPAN)]
     x, k, y = (np.concatenate(col) for col in zip(*chunks))
     # math.log2, not np.log2: that is 1 ulp off at k = 1621 and would change the CSV
     log_k, len_plain, len_delta = _per_k(k, math.log2, plain_code_length,

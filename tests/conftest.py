@@ -33,6 +33,11 @@ def patch_first_words(monkeypatch, words):
     monkeypatch.setattr(prob, "hashlib", SimpleNamespace(sha256=sha256))
 
 
+def uniform_hamming(m):
+    """The uniform m-ary source and the m-ary Hamming distortion."""
+    return FinitePmf.uniform(m), DistortionMatrix(1.0 - np.eye(m))
+
+
 def head(table, n):
     """The first n rows of a trial table (a dict of numpy columns)."""
     return {name: col[:n] for name, col in table.items()}

@@ -20,7 +20,7 @@ from pfrlab import (FinitePmf, GwModel, Kernel, Seed, arrival_stream,
                     information_density, kl_divergence, pfr_select,
                     plain_code_length, run_trials, solve_at_distortion,
                     summary_stats, tilted_information)
-from conftest import binary_entropy, group_rows, rows
+from conftest import binary_entropy, group_rows, rows, uniform_hamming
 
 ACC_SEED = Seed.from_hex("5f2e" * 16)
 
@@ -285,3 +285,43 @@ def test_criterion_12_entropy_of_index(bsc, bsc_run, pfr_draws):
     report(12, ok_main and ok_pfr,
            f"BSC run: H(K)={s.entropy_k:.4f} <= {s.entropy_k_bound + 0.05:.4f}; "
            f"PFR run: H(K)={h_k:.4f} <= {m_lk + math.log2(m_lk + 1.0) + 1.05:.4f}")
+
+
+def test_criterion_13_non_binary_laws():
+    # uniform m = 16 under Hamming distortion at D = 0.5: (x, y) must follow
+    # source x kernel, and K given the selected mark its exact law; the
+    # runtime is reported, not gated
+    m = 16
+    source, d = uniform_hamming(m)
+    sol = solve_at_distortion(source, d, 0.5)
+    t0 = time.perf_counter()
+    table = run_trials(sol, source, d, N_TRIALS, ACC_SEED)
+    elapsed = time.perf_counter() - t0
+    x, y, k = table["x"], table["y"], table["k"]
+    law = source.probs[:, None] * sol.kernel.rows
+    emp = np.bincount(x * m + y, minlength=m * m).reshape(m, m) / N_TRIALS
+    tv = 0.5 * float(np.abs(emp - law).sum())
+    # E[TV] <= this, since E|p_hat - p| <= sqrt(p (1 - p) / n) for each cell
+    tv_bound = 0.5 * float(np.sqrt(law * (1.0 - law) / N_TRIALS).sum())
+    q = sol.output_marginal
+    p_geom = np.array([geometric_parameter_exact(sol.kernel.row(i), q, i)
+                       for i in range(m)])
+    assert p_geom == pytest.approx(0.125, abs=1e-6)
+    # y != x: f(y) is the least density ratio, so E[max{f(y), f(Y')}] = 1
+    assert all(geometric_parameter_exact(sol.kernel.row(i), q, j) == pytest.approx(1.0)
+               for i in range(m) for j in range(m) if j != i)
+    off = x != y
+    ones = bool((k[off] == 1).all()) and off.sum() >= 40_000
+    # y = x: K is geometric(p(x)); the pooled law mixes them by row counts
+    kd, xd = k[~off], x[~off]
+    kmax = int(kd.max())
+    grid = np.arange(1, kmax + 1)
+    w = np.bincount(xd, minlength=m) / kd.size
+    pmf = (w[:, None] * p_geom[:, None] * (1.0 - p_geom[:, None]) ** (grid - 1)).sum(0)
+    tail = float(np.dot(w, (1.0 - p_geom) ** kmax))
+    emp_k = np.bincount(kd, minlength=kmax + 1)[1:] / kd.size
+    tv_k = 0.5 * (float(np.abs(emp_k - pmf).sum()) + tail)
+    report(13, tv <= tv_bound and tv_k <= 0.02 and ones,
+           f"TV((x, y) vs source x kernel)={tv:.5f} (<={tv_bound:.5f}); "
+           f"TV(K|y=x vs Geom(1/8))={tv_k:.5f} (<=0.02); K=1 on all "
+           f"{int(off.sum())} samples with y!=x: {ones}; runtime={elapsed:.2f}s")

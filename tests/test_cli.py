@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pfrlab.cli import main
+from pfrlab import cli
+from pfrlab.cli import MAX_TRIALS, ConfigError, load_config, main
 from conftest import binary_entropy
 
 SEED_HEX = "ab" * 32
@@ -304,6 +305,24 @@ class TestExitCodes:
         assert main(["redundancy-sweep", "--config", cfg, "--out",
                      str(tmp_path)]) == 2
         assert "trials" in capsys.readouterr().err
+
+    def test_trials_above_ceiling_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a run keeps about 128 B per trial; 10^30 trials would grow until killed
+        def no_run(*args):
+            raise AssertionError("a rejected trial count started a run")
+
+        monkeypatch.setattr(cli, "run_trials", no_run)
+        for trials, flag in ((10 ** 30, []), (10, ["--trials", "100000000000"]),
+                             (MAX_TRIALS + 1, []), (10, ["--trials", "0"])):
+            cfg = write_config(tmp_path, bsc_config(trials=trials))
+            assert main(["redundancy-sweep", "--config", cfg, "--out",
+                         str(tmp_path), *flag]) == 2
+            assert "'trials'" in capsys.readouterr().err
+        cfg = write_config(tmp_path, bsc_config(trials=10))
+        assert load_config(cfg, "redundancy-sweep",
+                           trials_override=MAX_TRIALS).trials == MAX_TRIALS
+        with pytest.raises(ConfigError, match="trials"):
+            load_config(cfg, "redundancy-sweep", trials_override=MAX_TRIALS + 1)
 
     def test_boolean_number_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, bsc_config(trials=10, target_D=True))

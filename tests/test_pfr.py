@@ -3,17 +3,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfrlab import (AbsoluteContinuityViolated, FinitePmf, GwModel, Kernel, Seed,
                     arrival_stream, derive_subseed, dominance_parameter,
                     expected_log_k_bound, geometric_parameter_exact,
-                    kl_divergence, mutual_information, pfr_select)
+                    kl_divergence, mutual_information, pfr_select,
+                    solve_at_distortion)
 from pfrlab import prob, redundancy
 from pfrlab.codebook import draw_points, stream_keys
-from pfrlab.redundancy import _CHUNK, select_span
-from conftest import PROPERTY, binary_entropy, patch_first_words
+from pfrlab.redundancy import _CHUNK, _SPAN, _round_points, select_span
+from conftest import PROPERTY, binary_entropy, patch_first_words, uniform_hamming
 
 TARGET = FinitePmf(np.array([0.8, 0.2]))
 UNIFORM = FinitePmf.uniform(2)
@@ -251,8 +252,39 @@ class TestBatchedScanProperty:
         assert list(zip(ks.tolist(), ys.tolist())) == streaming(
             Seed.from_int(seed), trials, targets, xs, proposal)
 
+    @settings(PROPERTY, max_examples=8)
+    @given(pair=pmf_pairs(), seed=st.integers(min_value=0, max_value=2**64),
+           first=st.integers(min_value=0, max_value=2**40),
+           n=st.integers(min_value=_SPAN - 40, max_value=_SPAN + 40),
+           pick=st.integers(min_value=0, max_value=2**16))
+    def test_equals_streaming_pfr_select_at_sweep_width(self, pair, seed, first, n,
+                                                         pick):
+        # spans as wide as the sweep's, past it too; 16 rows take the point
+        # mass on the least likely mark, so a few scans run long
+        target, proposal = pair
+        sharp = FinitePmf.point_mass(int(np.argmin(proposal.probs)), len(proposal))
+        targets = [target, sharp]
+        xs = np.zeros(n, dtype=np.int64)
+        xs[np.random.default_rng(pick).choice(n, size=16, replace=False)] = 1
+        trials = range(first, first + n)
+        ks, ys = select_span(Seed.from_int(seed), trials, targets, xs, proposal)
+        assert list(zip(ks.tolist(), ys.tolist())) == streaming(
+            Seed.from_int(seed), trials, targets, xs, proposal)
+
+    @pytest.mark.parametrize("rows", [1, 100, _CHUNK, 1000, _SPAN, 2 ** 15 + 1])
+    def test_round_points_are_whole_groups_within_the_budget(self, rows):
+        sizes = [_round_points(f_max, rows)
+                 for f_max in (0.0, 1.0, 32.0, 5e3, 1e6, 1e12, 1e300, math.inf)]
+        assert all(n % 8 == 0 and n >= 8 for n in sizes)
+        assert sizes == sorted(sizes)
+        # 2^18 points a round, but never less than one time group per scan
+        assert max(sizes) * rows <= max(2 ** 18, 8 * rows)
+        assert _round_points(32.0, rows) == 8
+
     def test_rounds_fit_the_point_budget(self, monkeypatch):
-        # f_max = 5,000: uncapped rounds would draw 128 x 3,752 = 480k points
+        # f_max = 5,000 (144 points per round and scan) on a Gray-Wyner chunk
+        # and 500 (48) on a sweep span; every (width / 128)-th trial is
+        # checked against the streaming scan
         round_points = []
 
         def counted(gap_keys, mark_keys, cum, start, n, time0):
@@ -260,14 +292,42 @@ class TestBatchedScanProperty:
             return draw_points(gap_keys, mark_keys, cum, start, n, time0)
 
         monkeypatch.setattr(redundancy, "draw_points", counted)
-        seed, trials = Seed.from_int(5), range(_CHUNK)
-        target = FinitePmf(np.array([0.5, 0.5]))
-        proposal = FinitePmf(np.array([1e-4, 1.0 - 1e-4]))
-        xs = np.zeros(_CHUNK, dtype=np.int64)
-        ks, ys = select_span(seed, trials, [target], xs, proposal)
-        assert len(round_points) > 1 and max(round_points) <= 2 ** 18
-        assert list(zip(ks.tolist(), ys.tolist())) == streaming(
-            seed, trials, [target], xs, proposal)
+        seed, target = Seed.from_int(5), FinitePmf(np.array([0.5, 0.5]))
+        for width, q0 in ((_CHUNK, 1e-4), (_SPAN, 1e-3)):
+            round_points.clear()
+            trials, xs = range(width), np.zeros(width, dtype=np.int64)
+            proposal = FinitePmf(np.array([q0, 1.0 - q0]))
+            ks, ys = select_span(seed, trials, [target], xs, proposal)
+            assert len(round_points) > 1 and max(round_points) <= 2 ** 18
+            every = width // _CHUNK
+            assert list(zip(ks[::every].tolist(), ys[::every].tolist())) == streaming(
+                seed, trials[::every], [target], xs[::every], proposal)
+
+    def test_sweep_span_draws_just_the_examined_groups(self, monkeypatch):
+        # uniform-Hamming m = 64 at D = 0.5 has f_max = 32: at the sweep's
+        # width a round is one 8-point time group per unfinished scan, so a
+        # scan draws the points its stop rule examines, rounded up to groups
+        source, d = uniform_hamming(64)
+        sol = solve_at_distortion(source, d, 0.5)
+        targets = [sol.kernel.row(x) for x in range(64)]
+        proposal = sol.output_marginal
+        seed, trials = Seed.from_int(6), range(_SPAN)
+        xs = np.arange(_SPAN) % 64
+        drawn = []
+
+        def counted(gap_keys, mark_keys, cum, start, n, time0):
+            drawn.append(len(gap_keys) * n)
+            return draw_points(gap_keys, mark_keys, cum, start, n, time0)
+
+        monkeypatch.setattr(redundancy, "draw_points", counted)
+        ks, ys = select_span(seed, trials, targets, xs, proposal)
+        runs = [pfr_select(targets[x], proposal, arrival_stream(
+            derive_subseed(seed, t, "codebook"), "codebook", proposal))
+            for t, x in zip(trials, xs.tolist())]
+        assert [(r.k, r.y) for r in runs] == list(zip(ks.tolist(), ys.tolist()))
+        f_max = max(float((t.probs / proposal.probs).max()) for t in targets)
+        assert f_max == pytest.approx(32.0, abs=1e-3) and _round_points(f_max, _SPAN) == 8
+        assert sum(drawn) == sum(8 * -(-r.examined // 8) for r in runs)
 
     def test_zero_gap_falls_back_to_stream(self, monkeypatch):
         # gap word 2^64 - 1 gives a zero gap; the stream regenerates it from

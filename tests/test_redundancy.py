@@ -6,12 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from pfrlab import (FinitePmf, Seed, UnsupportedEta, bound_rhs,
-                    delta_code_length, encode_delta, encode_plain, estimate_tail,
-                    plain_code_length, records_to_csv, run_trials, summary_stats)
+from pfrlab import (FinitePmf, Seed, UnsupportedEta, arrival_stream, bound_rhs,
+                    delta_code_length, derive_subseed, encode_delta, encode_plain,
+                    estimate_tail, pfr_select, plain_code_length, records_to_csv,
+                    run_trials, sample_pmf, solve_at_distortion, summary_stats)
 from pfrlab import redundancy
 from pfrlab.redundancy import CSV_HEADER
-from conftest import assert_same_table, head, rows
+from conftest import assert_same_table, head, rows, uniform_hamming
 
 SEED = Seed.from_int(2024)
 # the bound variants that are not clipped at 1
@@ -82,6 +83,21 @@ class TestRecords:
         a = run_trials(bsc_sol, uniform2, hamming2, 500, SEED)
         b = run_trials(bsc_sol, uniform2, hamming2, 500, SEED)
         assert_same_table(a, b)
+
+    def test_sweep_spans_equal_streaming_selection(self):
+        # a full selection span and a one-trial span, at f_max = 8: every row
+        # is its trial's own source draw and streaming pfr_select
+        source, d = uniform_hamming(16)
+        sol = solve_at_distortion(source, d, 0.5)
+        n = redundancy._SPAN + 1
+        t = run_trials(sol, source, d, n, SEED)
+        q = sol.output_marginal
+        for trial, x, k, y in rows(t, "trial", "x", "k", "y"):
+            assert x == sample_pmf(source, derive_subseed(SEED, trial, "source")
+                                   .stream("draw"))
+            r = pfr_select(sol.kernel.row(x), q, arrival_stream(
+                derive_subseed(SEED, trial, "codebook"), "codebook", q))
+            assert (k, y) == (r.k, r.y)
 
     def test_prefix_independent_of_total(self, bsc_sol, uniform2, hamming2):
         a = run_trials(bsc_sol, uniform2, hamming2, 50, SEED)

@@ -9,8 +9,8 @@ Exit codes:
     0  success, all requested checks pass
     1  a requested check failed (a bound or law violated empirically)
     2  config or flag parse/validation failure, including a null required
-       field, trials above MAX_TRIALS, a target_D below the minimum distortion
-       and an unusable --out
+       field, trials above MAX_TRIALS, a pfr.proposal whose density ratio
+       overflows, a target_D below the minimum distortion and an unusable --out
     3  solver non-convergence
     4  gray-wyner round-trip mismatch (internal invariant breach)
 """
@@ -28,7 +28,8 @@ from .codebook import arrival_stream, derive_subseed
 from .errors import NotConverged, PfrlabError, TargetOutOfRange
 from .gray_wyner import (GwModel, gw_decode, gw_decode_trials, gw_encode,
                          gw_records_to_csv, gw_run_trials)
-from .pfr import dominance_parameter, geometric_parameter_exact, pfr_select
+from .pfr import (_density_ratio, dominance_parameter, geometric_parameter_exact,
+                  pfr_select)
 from .prob import DistortionMatrix, FinitePmf, Kernel, Seed, kl_divergence
 from .rd import ba_fixed_slope, solve_at_distortion
 from .redundancy import (_SPAN, CODE_KINDS, ETA_KINDS, _mean_se, bound_rhs,
@@ -183,8 +184,7 @@ def load_config(path: str, mode: str, trials_override=None,
             pfr_proposal = FinitePmf.uniform(len(pfr_target))
         if len(pfr_proposal) != len(pfr_target):
             raise ConfigError("pfr.proposal", "alphabet differs from pfr.target")
-        if np.any((pfr_target.probs > 0) & (pfr_proposal.probs == 0)):
-            raise ConfigError("pfr.proposal", "must be positive wherever pfr.target is")
+        _build(_density_ratio, "pfr.proposal", pfr_target, pfr_proposal)
 
     gw_model = None
     if "gray_wyner" in raw:

@@ -46,7 +46,12 @@ def _density_ratio(target: FinitePmf, proposal: FinitePmf) -> np.ndarray:
         raise AbsoluteContinuityViolated("target has mass where proposal is zero")
     if not np.any(p > 0):
         raise DegenerateTarget("target has no positive mass")
-    return np.divide(p, q, out=np.zeros_like(p), where=q > 0)
+    with np.errstate(over="ignore"):
+        f = np.divide(p, q, out=np.zeros_like(p), where=q > 0)
+    # an infinite f_max would make the stop test inf * 0 = nan, never true
+    if not np.all(np.isfinite(f)):
+        raise ValueError("target / proposal overflows: a proposal entry is too small")
+    return f
 
 
 @lru_cache(maxsize=512)

@@ -285,6 +285,15 @@ class TestExitCodes:
         assert main(["verify-pfr", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "pfr.proposal" in capsys.readouterr().err
 
+    def test_proposal_overflowing_the_ratio_exit_2(self, tmp_path, capsys):
+        # 0.5 / 1e-320 overflows to +inf, so no scan could ever stop
+        cfg = write_config(tmp_path, {
+            "trials": 5, "seed": SEED_HEX,
+            "pfr": {"target": ["0.5", "0.5"], "proposal": ["1e-320", "1"]},
+        })
+        assert main(["verify-pfr", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "pfr.proposal" in capsys.readouterr().err
+
     def test_threads_below_one_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, bsc_config(trials=10))
         for flag in ("0", "-3"):

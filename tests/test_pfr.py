@@ -91,6 +91,15 @@ class TestSelection:
         with pytest.raises(AbsoluteContinuityViolated):
             pfr_select(TARGET, bad_prop, stream)
 
+    def test_overflowing_density_ratio_rejected(self):
+        # 0.5 / 1e-320 is +inf: the stop test would never fire, and both
+        # scans used to run forever (select_span raised OverflowError first)
+        tiny = FinitePmf(np.array([1e-320, 1.0]))
+        with pytest.raises(ValueError, match="overflows"):
+            pfr_select(TARGET, tiny, arrival_stream(SEED, "cb", tiny))
+        with pytest.raises(ValueError, match="overflows"):
+            select_span(SEED, range(3), [TARGET], np.zeros(3, dtype=np.int64), tiny)
+
     def test_mark_law_mismatch_rejected(self):
         stream = arrival_stream(SEED, "cb", FinitePmf(np.array([0.3, 0.7])))
         with pytest.raises(ValueError):

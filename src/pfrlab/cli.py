@@ -39,6 +39,9 @@ from .redundancy import (_SPAN, CODE_KINDS, ETA_KINDS, _mean_se, bound_rhs,
 
 # a run keeps about 128 B of trial columns per trial in memory: 1.3 GB at the ceiling
 MAX_TRIALS = 10 ** 7
+# verify-pfr's horizon-x2 replays stream about 2 f_max points each, in Python:
+# they stop after the trial that reaches this many points (about a second)
+REPLAY_POINTS = 2 ** 20
 
 
 class ConfigError(PfrlabError):
@@ -300,10 +303,13 @@ def cmd_verify_pfr(cfg: ExperimentConfig, out_dir: str) -> int:
     same = res0.k == int(ks[0]) and res0.y == int(ys[0])
     checks.append(("replay_determinism", float(same), 1.0, same))
 
-    stable = True
+    stable, points = True, 0
     for t in range(min(n, 1000)):
         res = select(t, horizon_scale=2.0)
         stable &= res.k == int(ks[t]) and res.y == int(ys[t])
+        points += res.examined
+        if points >= REPLAY_POINTS:
+            break
     checks.append(("stopping_rule_horizon_x2", float(stable), 1.0, stable))
 
     lines = ["check,statistic,threshold,passed"]

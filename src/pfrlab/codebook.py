@@ -11,8 +11,10 @@ batched).  Times are summed in groups of _BLOCK = 8 points: a cumulative
 sum within the group, plus the last time of the group before.  That
 grouping is part of the format: another block size changes the last bits
 of most times.  CodebookStream produces one group per refill;
-:func:`draw_points` produces many groups for many streams at once, with
-the same arithmetic.
+:func:`draw_points` produces many streams' points at once, with the same
+arithmetic.  Its reads are whole SHA-256 blocks of 4 words, so a round may
+stop mid-group: each stream then carries the group's base time and its
+partial sum, and the next round goes on with points 5-8 of the group.
 
 Nothing is ever materialized: points are produced on demand and discarded
 by the caller once a stopping rule fires.
@@ -64,27 +66,39 @@ def stream_keys(seed: Seed, trials, role: str, *labels) -> tuple:
 
 
 def draw_points(gap_keys, mark_keys, cum: np.ndarray, start: int, n: int,
-                time0: np.ndarray) -> tuple:
+                clock: np.ndarray) -> tuple:
     """Points start + 1 .. start + n of many streams at once, one row per stream.
 
-    start is a multiple of _BLOCK, and time0 holds each stream's time of
-    point start (0.0 when start is 0).  Returns (times, marks, zero): the
-    rows equal what next_marked_point yields, bit for bit, unless the row's
-    zero flag is set.  A zero flag means a gap word mapped to a zero gap;
-    the stream regenerates such a gap from later words, so that row must be
-    replayed by a CodebookStream.
+    start is a multiple of 4 (a whole SHA-256 block of words).  clock holds
+    each stream's sums at point start: clock[0] is the last time of the time
+    group before, clock[1] the sum of this group's gaps so far (zeros when
+    start is 0).  Returns (times, marks, zero, clock): the rows equal what
+    next_marked_point yields, bit for bit, unless the row's zero flag is set,
+    and the new clock stands at point start + n when n is a multiple of 4.  A
+    zero flag means a gap word mapped to a zero gap; the stream regenerates
+    such a gap from later words, so that row must be replayed by a
+    CodebookStream.
     """
-    blocks = -(-n // _BLOCK)
-    first, count = start // 4, blocks * _BLOCK // 4  # 4 words per SHA-256 block
+    first, count = start // 4, -(-n // 4)  # 4 words per SHA-256 block
     gaps = -np.log(unit_interval_oc(key_words(gap_keys, first, count)))
-    rows = gaps.shape[0]
-    within = np.cumsum(gaps.reshape(rows, blocks, _BLOCK), axis=2)
-    ends = np.cumsum(np.concatenate([time0[:, None], within[:, :-1, -1]], axis=1),
+    rows, lead, end = gaps.shape[0], start % _BLOCK, start % _BLOCK + 4 * count
+    # the gaps in place in their time groups; the group's sum so far stands
+    # just before them, so the cumulative sums go on from it
+    groups = np.zeros((rows, -(-end // _BLOCK), _BLOCK))
+    flat = groups.reshape(rows, -1)
+    flat[:, lead:end] = gaps
+    if lead:
+        flat[:, lead - 1] = clock[1]
+    within = np.cumsum(groups, axis=2)
+    ends = np.cumsum(np.concatenate([clock[0][:, None], within[:, :-1, -1]], axis=1),
                      axis=1)
-    times = (ends[:, :, None] + within).reshape(rows, blocks * _BLOCK)[:, :n]
+    times = (ends[:, :, None] + within).reshape(rows, -1)[:, lead:lead + n]
     marks = np.searchsorted(cum, unit_interval(key_words(mark_keys, first, count)),
                             side="right")[:, :n]
-    return times, marks, ~gaps.all(axis=1)
+    stop = end % _BLOCK
+    clock = ((ends[:, -1], within[:, -1, stop - 1]) if stop
+             else (ends[:, -1] + within[:, -1, -1], np.zeros(rows)))
+    return times, marks, ~gaps.all(axis=1), np.array(clock)
 
 
 def nth_marks(mark_keys, ks: np.ndarray, cum: np.ndarray) -> np.ndarray:

@@ -26,11 +26,12 @@ applies the stop rule to all of them with pfr_scan_rows.  The results equal
 those of one pfr_select per trial, bit for bit, whatever the span and round
 sizes; the engine falls back to pfr_select for a trial whose drawn gaps hold
 a zero.  The sweep selects over spans of _SPAN = 1024 trials, where rounds
-of one 8-point time group are cheap enough that each scan draws just the
-groups its stop rule examines (:func:`_round_points`).  The Gray-Wyner
-trials keep chunks of _CHUNK = 128, because their private scans hold every
-drawn base point of a chunk: the common index runs on select_span, its
-private indices on scan_rounds.
+of one 8-point time group, or one 4-point SHA-256 block at f_max <= 3, are
+cheap enough that each scan draws just the groups or blocks its stop rule
+examines (:func:`_round_points`).  The Gray-Wyner trials keep chunks of
+_CHUNK = 128, because their private scans hold every drawn base point of a
+chunk: the common index runs on select_span, its private indices on
+scan_rounds.
 """
 
 import math
@@ -47,8 +48,8 @@ from .pfr import _ratio_rows, pfr_scan_rows, pfr_select
 from .prob import DistortionMatrix, FinitePmf, Seed, entropy, sample_pmf_keys
 from .rd import RdSolution, tilted_information
 
-# trials per span of the sweep's selections, and per Gray-Wyner chunk and CSV
-# batch; each bounds its working arrays whatever n is
+# trials per span of the sweep's selections and CSV batch, and per Gray-Wyner
+# chunk; each bounds its working arrays whatever n is
 _SPAN = 1024
 _CHUNK = 128
 
@@ -115,8 +116,9 @@ def trial_chunks(source: FinitePmf, seed: Seed, n: int, width: int):
 
 
 def _round_points(f_max: float, rows: int) -> int:
-    """Points each round draws per unfinished scan: whole 8-point time groups,
-    about 2 sqrt(f_max + 1) points and at least one group.
+    """Points each round draws per unfinished scan: one 4-point SHA-256 block
+    where about 2 sqrt(f_max + 1) points is at most that, else whole 8-point
+    time groups, about 2 sqrt(f_max + 1) points and at least one group.
 
     A scan examines about f_max + 1 points, with a long geometric-like tail.
     A round of n points overshoots a scan's stop by about n / 2 points, and
@@ -124,11 +126,15 @@ def _round_points(f_max: float, rows: int) -> int:
     with a fixed cost of some 100 us of numpy calls.  The sum of the two is
     least at n proportional to sqrt(f_max + 1); at 1024 rows and f_max = 32
     that is one time group (8 points) per round, so each scan draws its
-    examined points rounded up to whole groups.  The round is capped at
-    2^18 // rows points per scan, so it draws at most 2^18 points.
+    examined points rounded up to whole groups, and at f_max <= 3 one block.
+    The round is capped at 2^18 // rows points per scan, so it draws at most
+    2^18 points.
     """
+    size = 2.0 * math.sqrt(f_max + 1.0)
+    if size <= 4.0:
+        return 4
     cap = max(1, 2 ** 18 // (rows * _BLOCK))
-    return _BLOCK * max(1, round(min(2.0 * math.sqrt(f_max + 1.0) / _BLOCK, cap)))
+    return _BLOCK * max(1, round(min(size / _BLOCK, cap)))
 
 
 def scan_rounds(keys, cum: np.ndarray, n: int, step, fallback) -> None:
@@ -136,15 +142,14 @@ def scan_rounds(keys, cum: np.ndarray, n: int, step, fallback) -> None:
     keys[0][i], mark key keys[1][i]) until step(live, start, times, marks) says
     it needs no more; a zero gap sends it to fallback(i), the streaming path."""
     gap_keys, mark_keys = keys
-    live, time0, start = np.arange(len(gap_keys)), np.zeros(len(gap_keys)), 0
+    live, clock, start = np.arange(len(gap_keys)), np.zeros((2, len(gap_keys))), 0
     while live.size:
-        times, marks, zero = draw_points([gap_keys[i] for i in live],
-                                         [mark_keys[i] for i in live],
-                                         cum, start, n, time0[live])
+        times, marks, zero, clock[:, live] = draw_points(
+            [gap_keys[i] for i in live], [mark_keys[i] for i in live], cum, start, n,
+            clock[:, live])
         more = step(live, start, times, marks)
         for i in live[zero]:
             fallback(i)
-        time0[live] = times[:, -1]
         live = live[more & ~zero]
         start += n
 
@@ -347,14 +352,22 @@ def summary_stats(table: dict, sol: RdSolution) -> TrialSummary:
 
 
 def _write_table(table: dict, fh) -> None:
-    """Write a trial table as CSV: a header of its keys, then a line per row,
-    %d for integer columns and %.9g for floats, formatted _CHUNK rows at a time."""
+    """Write a trial table of 64-bit columns as CSV: a header of its keys, then
+    a line per row, %d for integer columns and %.9g for floats.  _SPAN rows at
+    a time, each column's distinct values are formatted once and gathered;
+    values are told apart by their bits, so -0.0 stays -0."""
     cols = list(table.values())
-    line = ",".join("%d" if c.dtype.kind in "iu" else "%.9g" for c in cols) + "\n"
+    specs = ["%d" if c.dtype.kind in "iu" else "%.9g" for c in cols]
     fh.write(",".join(table) + "\n")
-    for c in range(0, cols[0].size, _CHUNK):
-        rows = zip(*(col[c:c + _CHUNK].tolist() for col in cols))
-        fh.write("".join([line % row for row in rows]))
+    for c in range(0, cols[0].size, _SPAN):
+        fields = []
+        for col, spec in zip(cols, specs):
+            part = col[c:c + _SPAN]
+            bits, at = np.unique(part.view(np.int64), return_inverse=True)
+            text = np.array([spec % v for v in bits.view(part.dtype).tolist()],
+                            dtype=object)
+            fields.append(text[at].tolist())
+        fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 def records_to_csv(table: dict, fh) -> None:

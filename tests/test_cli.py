@@ -4,6 +4,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -176,6 +177,36 @@ class TestVerifyPfr:
                      "--out", str(tmp_path)]) == 0
         _, rows = read_rows(tmp_path / "pfr_checks.csv")
         assert all(math.isfinite(float(r[1])) and r[3] == "true" for r in rows)
+
+
+    def test_replays_stop_at_the_point_budget(self, tmp_path, monkeypatch):
+        # the demo replays min(n, 1000) trials; at f_max = 1,000 the replays
+        # stop after the trial whose points reach the budget, and at least
+        # one trial is replayed whatever the budget
+        replays = []
+        real = cli.pfr_select
+
+        def counted(*args, horizon_scale=1.0):
+            res = real(*args, horizon_scale=horizon_scale)
+            if horizon_scale != 1.0:
+                replays.append(res.examined)
+            return res
+
+        monkeypatch.setattr(cli, "pfr_select", counted)
+        demo = str(Path(__file__).parent.parent / "demos" / "pfr_verify.json")
+        assert main(["verify-pfr", "--config", demo, "--trials", "1500",
+                     "--out", str(tmp_path / "demo")]) == 0
+        assert len(replays) == 1000 and sum(replays) < cli.REPLAY_POINTS
+        cfg = write_config(tmp_path, {
+            "trials": 200, "seed": SEED_HEX,
+            "pfr": {"target": ["0.5", "0.5"], "proposal": ["0.0005", "0.9995"]}})
+        for budget in (1, 10_000):
+            replays.clear()
+            monkeypatch.setattr(cli, "REPLAY_POINTS", budget)
+            main(["verify-pfr", "--config", cfg, "--out", str(tmp_path / str(budget))])
+            total = np.cumsum(replays)
+            assert total[-1] >= budget and (len(total) == 1 or total[-2] < budget)
+        assert 1 < len(replays) < 200
 
 
 class TestGrayWyner:

@@ -52,31 +52,44 @@ class TestBatchedDraw:
         return [take(arrival_stream(derive_subseed(Seed.from_int(9), t, "cb"), "cb", q),
                      n) for t in self.TRIALS]
 
-    @pytest.mark.parametrize("n", [1, 7, 8, 9, 1000])
+    def draw(self, q, start, n, clock):
+        gap_keys, mark_keys = stream_keys(Seed.from_int(9), self.TRIALS, "cb")
+        return draw_points(gap_keys, mark_keys, q.cumulative(), start, n, clock)
+
+    @pytest.mark.parametrize("n", [1, 4, 7, 8, 9, 1000])
     def test_equals_next_marked_point(self, n):
         q = FinitePmf(np.array([0.1, 0.0, 0.6, 0.3]))
-        gap_keys, mark_keys = stream_keys(Seed.from_int(9), self.TRIALS, "cb")
-        times, marks, zero = draw_points(gap_keys, mark_keys, q.cumulative(), 0, n,
-                                         np.zeros(len(self.TRIALS)))
+        times, marks, zero, _ = self.draw(q, 0, n, np.zeros((2, len(self.TRIALS))))
         assert times.shape == marks.shape == (len(self.TRIALS), n)
         assert not zero.any()
         for row, ref in enumerate(self.reference(q, n)):
             assert times[row].tolist() == [p.time for p in ref]
             assert marks[row].tolist() == [p.mark for p in ref]
 
+    @pytest.mark.parametrize("n", [4, 12])
+    def test_starts_mid_group(self, n):
+        # a first round of one 4-point block leaves the clock mid-group; the
+        # next round goes on from its partial sum
+        q = FinitePmf(np.array([0.1, 0.0, 0.6, 0.3]))
+        head, _, _, clock = self.draw(q, 0, 4, np.zeros((2, len(self.TRIALS))))
+        times, marks, zero, _ = self.draw(q, 4, n, clock)
+        assert times.shape == marks.shape == (len(self.TRIALS), n)
+        assert not zero.any()
+        for row, ref in enumerate(self.reference(q, 4 + n)):
+            assert times[row].tolist() == [p.time for p in ref[4:]]
+            assert marks[row].tolist() == [p.mark for p in ref[4:]]
+            assert head[row].tolist() == [p.time for p in ref[:4]]
+
     def test_rounds_continue_the_stream(self):
         q = FinitePmf.uniform(5)
-        gap_keys, mark_keys = stream_keys(Seed.from_int(9), self.TRIALS, "cb")
-        time0 = np.zeros(len(self.TRIALS))
+        clock = np.zeros((2, len(self.TRIALS)))
         parts = []
-        for start, n in ((0, 16), (16, 24), (40, 8)):
-            times, marks, _ = draw_points(gap_keys, mark_keys, q.cumulative(), start,
-                                          n, time0)
+        for start, n in ((0, 16), (16, 4), (20, 4), (24, 12), (36, 4), (40, 8), (48, 4)):
+            times, marks, _, clock = self.draw(q, start, n, clock)
             parts.append((times, marks))
-            time0 = times[:, -1]
         times = np.concatenate([p[0] for p in parts], axis=1)
         marks = np.concatenate([p[1] for p in parts], axis=1)
-        for row, ref in enumerate(self.reference(q, 48)):
+        for row, ref in enumerate(self.reference(q, 52)):
             assert times[row].tolist() == [p.time for p in ref]
             assert marks[row].tolist() == [p.mark for p in ref]
 

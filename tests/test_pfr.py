@@ -284,9 +284,13 @@ class TestBatchedScanProperty:
     def test_round_points_are_whole_groups_within_the_budget(self, rows):
         sizes = [_round_points(f_max, rows)
                  for f_max in (0.0, 1.0, 32.0, 5e3, 1e6, 1e12, 1e300, math.inf)]
-        assert all(n % 8 == 0 and n >= 8 for n in sizes)
+        # one 4-point block while 2 sqrt(f_max + 1) <= 4, whole groups after
+        assert sizes[:2] == [4, 4]
+        assert all(n % 8 == 0 and n >= 8 for n in sizes[2:])
         assert sizes == sorted(sizes)
+        assert _round_points(3.0, rows) == 4 and _round_points(3.01, rows) == 8
         # 2^18 points a round, but never less than one time group per scan
+        # past f_max = 3
         assert max(sizes) * rows <= max(2 ** 18, 8 * rows)
         assert _round_points(32.0, rows) == 8
 
@@ -296,9 +300,9 @@ class TestBatchedScanProperty:
         # checked against the streaming scan
         round_points = []
 
-        def counted(gap_keys, mark_keys, cum, start, n, time0):
+        def counted(gap_keys, mark_keys, cum, start, n, clock):
             round_points.append(len(gap_keys) * n)
-            return draw_points(gap_keys, mark_keys, cum, start, n, time0)
+            return draw_points(gap_keys, mark_keys, cum, start, n, clock)
 
         monkeypatch.setattr(redundancy, "draw_points", counted)
         seed, target = Seed.from_int(5), FinitePmf(np.array([0.5, 0.5]))
@@ -337,6 +341,31 @@ class TestBatchedScanProperty:
         f_max = max(float((t.probs / proposal.probs).max()) for t in targets)
         assert f_max == pytest.approx(32.0, abs=1e-3) and _round_points(f_max, _SPAN) == 8
         assert sum(drawn) == sum(8 * -(-r.examined // 8) for r in runs)
+
+    def test_bsc_span_draws_just_the_examined_blocks(self, monkeypatch, bsc_sol):
+        # the bsc demo has f_max = 1.78: a round is one 4-point SHA-256 block
+        # per unfinished scan, so a scan draws its examined points rounded up
+        # to whole blocks, not to 8-point time groups
+        targets = [bsc_sol.kernel.row(x) for x in range(2)]
+        proposal = bsc_sol.output_marginal
+        seed, trials = Seed.from_int(7), range(_SPAN)
+        xs = np.arange(_SPAN) % 2
+        drawn = []
+
+        def counted(gap_keys, mark_keys, cum, start, n, clock):
+            drawn.append(len(gap_keys) * n)
+            return draw_points(gap_keys, mark_keys, cum, start, n, clock)
+
+        monkeypatch.setattr(redundancy, "draw_points", counted)
+        ks, ys = select_span(seed, trials, targets, xs, proposal)
+        runs = [pfr_select(targets[x], proposal, arrival_stream(
+            derive_subseed(seed, t, "codebook"), "codebook", proposal))
+            for t, x in zip(trials, xs.tolist())]
+        assert [(r.k, r.y) for r in runs] == list(zip(ks.tolist(), ys.tolist()))
+        f_max = max(float((t.probs / proposal.probs).max()) for t in targets)
+        assert f_max == pytest.approx(1.78, abs=1e-3) and _round_points(f_max, _SPAN) == 4
+        assert sum(drawn) == sum(4 * -(-r.examined // 4) for r in runs)
+        assert any(r.examined > 4 for r in runs)
 
     def test_zero_gap_falls_back_to_stream(self, monkeypatch):
         # gap word 2^64 - 1 gives a zero gap; the stream regenerates it from

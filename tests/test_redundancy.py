@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from pfrlab import (FinitePmf, Seed, UnsupportedEta, arrival_stream, bound_rhs,
                     delta_code_length, derive_subseed, encode_delta, encode_plain,
@@ -12,7 +14,7 @@ from pfrlab import (FinitePmf, Seed, UnsupportedEta, arrival_stream, bound_rhs,
                     run_trials, sample_pmf, solve_at_distortion, summary_stats)
 from pfrlab import redundancy
 from pfrlab.redundancy import CSV_HEADER
-from conftest import assert_same_table, head, rows, uniform_hamming
+from conftest import PROPERTY, assert_same_table, head, rows, uniform_hamming
 
 SEED = Seed.from_int(2024)
 # the bound variants that are not clipped at 1
@@ -280,3 +282,51 @@ class TestCsv:
             records_to_csv(recs, buf)
             out.append(buf.getvalue())
         assert out[0] == out[1]
+
+
+# floats whose formatting is easy to get wrong, and ints at the int64 edges
+EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+               2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308]
+EDGE_INTS = [0, 1, -1, 2**63 - 1, 2**63 - 2, -2**63, -2**63 + 1]
+
+
+def line_per_row_csv(table):
+    """The CSV as a line % row per row: the format the table writer keeps."""
+    cols = list(table.values())
+    line = ",".join("%d" if c.dtype.kind in "iu" else "%.9g" for c in cols) + "\n"
+    return ",".join(table) + "\n" + "".join(
+        [line % row for row in zip(*(c.tolist() for c in cols))])
+
+
+@st.composite
+def csv_tables(draw):
+    """int64 and float64 columns, each of few values repeated or of random bits
+    (every float class: nans with payloads, subnormals, infinities, -0.0)."""
+    n = draw(st.one_of(st.integers(min_value=1, max_value=3000),
+                       st.sampled_from([1, 1023, 1024, 1025, 2048, 2049, 3000])))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    table = {}
+    for j, kind in enumerate(draw(st.lists(st.sampled_from("if"), min_size=1,
+                                           max_size=5))):
+        if kind == "i":
+            pool = draw(st.lists(st.integers(min_value=-2**63, max_value=2**63 - 1),
+                                 max_size=8)) + EDGE_INTS
+        else:
+            pool = draw(st.lists(st.floats(), max_size=8)) + EDGE_FLOATS
+        pool = np.array(pool, dtype=np.int64 if kind == "i" else np.float64)
+        if draw(st.booleans()):
+            col = pool[rng.integers(0, draw(st.integers(1, len(pool))), size=n)]
+        else:
+            col = rng.integers(-2**63, 2**63 - 1, size=n, endpoint=True).view(pool.dtype)
+        table[f"{kind}{j}"] = col
+    return table
+
+
+# a table of thousands of random rows does not shrink to a smaller example in
+# useful time, so a failure is reported as found
+@settings(PROPERTY, phases=(Phase.explicit, Phase.generate))
+@given(table=csv_tables())
+def test_table_writer_equals_a_line_per_row(table):
+    buf = io.StringIO()
+    redundancy._write_table(table, buf)
+    assert buf.getvalue() == line_per_row_csv(table)

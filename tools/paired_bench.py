@@ -6,15 +6,16 @@
 Each commit is exported with ``git archive`` into a fresh temporary
 directory, so only committed files are measured.  For every workload and
 seed, one pair of ``perfbench/run.py --workload W --seed S --seconds T
---trace 0`` runs is made, one per commit, one after the other; the commit
+--trace X`` runs is made, one per commit, one after the other; the commit
 that goes first alternates from pair to pair, so a drift in the machine's
 speed falls on both sides alike.  Each run's own JSON result line is kept.
 
-The file holds every run, and per workload and end-to-end metric the median
-and quartiles of each side, the change's median over the parent's, and the
-pairs the change won (a win is a better value than the parent's run of the
-same pair, in the direction BENCHMARK.json gives).  The tool exits 1 when a
-run reports failed processes, after writing the file.
+The file holds every run, and per workload and metric (the end-to-end ones,
+or with ``--trace 1`` the per-layer ones) the median and quartiles of each
+side, the change's median over the parent's, and the pairs the change won
+(a win is a better value than the parent's run of the same pair, in the
+direction BENCHMARK.json gives).  The tool exits 1 when a run reports
+failed processes, after writing the file.
 """
 
 import argparse
@@ -51,10 +52,11 @@ def export(rev: str, into: Path) -> str:
     return commit
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: int) -> dict:
     """One perfbench run: its environment line and its JSON result line."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     env = next((json.loads(line.split(" ", 2)[2]) for line in lines
@@ -90,7 +92,8 @@ def summarize(runs: list, better: dict) -> dict:
         for side, values in zip(SIDES, zip(*both)):
             q1, median, q3 = quartiles(sorted(values))
             entry[side] = {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
-        entry["change_over_parent"] = entry["change"]["median"] / entry["parent"]["median"]
+        base = entry["parent"]["median"]
+        entry["change_over_parent"] = entry["change"]["median"] / base if base else None
         sign = 1.0 if direction == "higher" else -1.0
         entry["pairs_won"] = sum(sign * (c - p) > 0 for p, c in both)
         out[metric] = entry
@@ -105,18 +108,20 @@ def main(argv=None) -> int:
                         help="a perfbench workload; repeat for more")
     parser.add_argument("--seeds", required=True, help="seeds, e.g. 801-810,900")
     parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     parser.add_argument("--what", default="", help="one line on what is compared")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    better = {m["name"]: m["better"]
+              for m in bench["per_layer" if args.trace else "end_to_end"]}
     seeds = parse_seeds(args.seeds)
     out = {"what": args.what,
            "command": "python3 tools/paired_bench.py " + shlex.join(
                sys.argv[1:] if argv is None else argv),
            "run_command": "python3 perfbench/run.py --workload W --seed S "
-                          f"--seconds {args.seconds:g} --trace 0",
+                          f"--seconds {args.seconds:g} --trace {args.trace}",
            "workloads": {}}
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
@@ -129,7 +134,8 @@ def main(argv=None) -> int:
             for pair, seed in enumerate(seeds):
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    run = run_once(checkouts[side], workload, seed, args.seconds)
+                    run = run_once(checkouts[side], workload, seed, args.seconds,
+                                   args.trace)
                     ok &= run["exit"] == 0 and run["correct"]
                     metrics = {m: v["value"] for m, v in run["metrics"].items()}
                     runs.append({"pair": pair, "seed": seed, "side": side,

@@ -13,8 +13,8 @@ from .bitcodes import (BitString, decode_delta, decode_plain, delta_code_length,
 from .codebook import CodebookStream, MarkedPoint, arrival_stream, derive_subseed
 from .errors import (AbsoluteContinuityViolated, DegenerateTarget,
                      MalformedCodeword, NotConverged, PfrlabError,
-                     TargetOutOfRange, UnsupportedEta, UnsupportedOutput,
-                     UnsupportedPoint)
+                     RoundTripMismatch, TargetOutOfRange, UnsupportedEta,
+                     UnsupportedOutput, UnsupportedPoint)
 from .gray_wyner import (GwModel, GwResult, ResortedStream, gw_decode,
                          gw_dominance_params, gw_encode, gw_records_to_csv,
                          gw_run_trials, resort_tables)
@@ -35,8 +35,8 @@ __all__ = [
     "DegenerateTarget", "DistortionMatrix", "ETA_KINDS", "FinitePmf",
     "GwModel", "GwResult", "Kernel", "MalformedCodeword",
     "MarkedPoint", "NotConverged", "PfrResult", "PfrlabError", "RdSolution",
-    "ResortedStream", "RngState", "Seed", "SymbolId", "TailEstimate",
-    "TargetOutOfRange", "TrialSummary", "UnsupportedEta",
+    "ResortedStream", "RngState", "RoundTripMismatch", "Seed", "SymbolId",
+    "TailEstimate", "TargetOutOfRange", "TrialSummary", "UnsupportedEta",
     "UnsupportedOutput", "UnsupportedPoint", "arrival_stream", "ba_fixed_slope",
     "bound_rhs", "decode_delta", "decode_plain", "delta_code_length",
     "delta_length_calculus", "derive_subseed", "dominance_parameter",

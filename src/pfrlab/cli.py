@@ -25,9 +25,8 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .codebook import arrival_stream, derive_subseed
-from .errors import NotConverged, PfrlabError, TargetOutOfRange
-from .gray_wyner import (GwModel, gw_decode, gw_decode_trials, gw_encode,
-                         gw_records_to_csv, gw_run_trials)
+from .errors import NotConverged, PfrlabError, RoundTripMismatch, TargetOutOfRange
+from .gray_wyner import GwModel, gw_decode, gw_encode, gw_records_to_csv, gw_run_trials
 from .pfr import (_density_ratio, dominance_parameter, geometric_parameter_exact,
                   pfr_select)
 from .prob import DistortionMatrix, FinitePmf, Kernel, Seed, kl_divergence
@@ -343,19 +342,15 @@ def cmd_redundancy_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
 
 def cmd_gray_wyner(cfg: ExperimentConfig, out_dir: str) -> int:
     model, seed, n = cfg.gw_model, cfg.seed, cfg.trials
-    table = gw_run_trials(model, n, seed)
+    table = gw_run_trials(model, n, seed)  # decodes every trial batched
     xs, ks, ys = (np.column_stack([table[c] for c in cols]) for cols in
                   (("x1", "x2"), ("k0", "k1", "k2"), ("u", "y1", "y2")))
-    bad = np.flatnonzero((gw_decode_trials(model, seed, ks) != ys).any(axis=1)).tolist()
     # and the streaming encoder and decoder must agree on the first 32 trials
     for t, x, k, y in zip(range(32), *(a[:32].tolist() for a in (xs, ks, ys))):
         sub = derive_subseed(seed, t, "gw")
         if (astuple(gw_encode(model, *x, sub)) != (*k, *y)
                 or gw_decode(model, *k, sub) != tuple(y)):
-            bad.append(t)
-    if bad:
-        print(f"round-trip mismatch at trial {min(bad)}", file=sys.stderr)
-        return 4
+            raise RoundTripMismatch(t)
     with open(os.path.join(out_dir, "gw_trials.csv"), "w") as fh:
         gw_records_to_csv(table, fh)
 
@@ -418,6 +413,9 @@ def main(argv=None) -> int:
     except NotConverged as e:
         print(f"solver did not converge: {e}", file=sys.stderr)
         return 3
+    except RoundTripMismatch as e:
+        print(str(e), file=sys.stderr)
+        return 4
 
 
 def entry() -> None:

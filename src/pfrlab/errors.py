@@ -40,3 +40,11 @@ class UnsupportedPoint(PfrlabError, ValueError):
 
 class UnsupportedEta(PfrlabError, ValueError):
     """The requested redundancy kind needs a quantity the solution does not provide."""
+
+
+class RoundTripMismatch(PfrlabError, RuntimeError):
+    """A Gray-Wyner decode did not reproduce the encoder's (u, y1, y2) at a trial."""
+
+    def __init__(self, trial):
+        super().__init__(f"round-trip mismatch at trial {trial}")
+        self.trial = trial

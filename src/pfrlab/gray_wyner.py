@@ -12,10 +12,14 @@ Encoder and decoder share only the seed; replaying the streams reproduces
 the identical selections, so decoding is exact.
 
 gw_encode and gw_decode run one trial, re-sorting through a heap.  Batched,
-gw_run_trials and gw_decode_trials run a chunk of trials to the same results:
-the common index on redundancy.select_span, each private one on rounds of base
-points scanned in re-sorted order.  The gray-wyner command decodes every trial
-so, and replays its first 32 through gw_encode and gw_decode as a check."""
+gw_run_trials encodes a chunk of trials to the same results: the common index
+on redundancy.select_span, each private one on rounds of base points scanned
+in re-sorted order.  It then decodes the chunk with the same stream keys, as
+an independent replay with its own rounds and stop rule, and raises
+RoundTripMismatch at the first trial whose decode differs.  A chunk holds
+_SPAN trials, or fewer where they would pass 2^18 points at the model's
+longest expected private scan.  The gray-wyner command also replays its
+first 32 trials through gw_encode and gw_decode as a check."""
 
 import heapq
 import math
@@ -27,10 +31,10 @@ import numpy as np
 from .bitcodes import plain_code_length
 from .codebook import (CodebookStream, MarkedPoint, arrival_stream, derive_subseed,
                        nth_marks, stream_keys)
-from .errors import UnsupportedPoint
+from .errors import RoundTripMismatch, UnsupportedPoint
 from .pfr import pfr_scan_rows, pfr_select
 from .prob import FinitePmf, Kernel, Seed, SymbolId, kl_divergence
-from .redundancy import (_CHUNK, _per_k, _round_points, _write_table, chunk_spans,
+from .redundancy import (_SPAN, _per_k, _round_points, _write_table, chunk_spans,
                          scan_rounds, select_span, trial_chunks)
 
 GW_CSV_HEADER = "trial,x1,x2,u,y1,y2,k0,k1,k2,len0,len1,len2"
@@ -134,6 +138,15 @@ class GwModel:
         s1, s2 = self.sides
         return np.stack([pu[u] * np.outer(s1.target(x1, u).probs, s2.target(x2, u).probs)
                          for u in range(self.nu)])
+
+    @cached_property
+    def chunk_width(self) -> int:
+        """Trials per chunk of gw_run_trials: _SPAN, or fewer where they times the
+        longest expected private scan would pass 2^18 points.  That scan is the
+        max of r[u] f_max over the drawable (x, u) rows of both sides."""
+        scan = max((s.r * s.f_max.reshape(-1, self.nu))[s.p_x_u > 0].max()
+                   for s in self.sides)
+        return int(max(1, min(_SPAN, 2 ** 18 // scan)))
 
 
 @dataclass(frozen=True)
@@ -326,12 +339,14 @@ def gw_dominance_params(model: GwModel, x1: SymbolId, x2: SymbolId,
 def gw_run_trials(model: GwModel, n: int, seed: Seed) -> dict:
     """n trials of gw_encode(model, x1, x2, derive_subseed(seed, t, "gw")), with
     source pairs drawn from the model, a chunk at once; zero gaps rerun a trial.
+    Each chunk is decoded again from its keys; RoundTripMismatch names the first
+    trial that decodes to another (u, y1, y2).
     Returns the trial table, a numpy column per field of GW_CSV_HEADER."""
     # a pair of probability 0 is never drawn; p_u stands in for its u-target
     u_rows = [row if w > 0 else model.p_u
               for row, w in zip(model._u_rows, model.source_pmf.probs)]
     parts = []
-    for span, pairs in trial_chunks(model.source_pmf, seed, n, _CHUNK):
+    for span, pairs in trial_chunks(model.source_pmf, seed, n, model.chunk_width):
         keys, zero = stream_keys(seed, span, "gw", "gw-u", "gw-y1", "gw-y2"), set()
         k0, u = select_span(seed, span, u_rows, pairs, model.p_u,
                             role="gw", label="gw-u", keys=keys[:2])
@@ -342,6 +357,10 @@ def gw_run_trials(model: GwModel, n: int, seed: Seed) -> dict:
             res = gw_encode(model, int(x1[i]), int(x2[i]),
                             derive_subseed(seed, span[i], "gw"))
             k0[i], k1[i], k2[i], u[i], y1[i], y2[i] = astuple(res)
+        bad = (gw_decode_chunk(model, seed, span, keys, (k0, k1, k2))
+               != (u, y1, y2)).any(axis=0)
+        if bad.any():
+            raise RoundTripMismatch(span[bad.argmax()])
         parts.append((x1, x2, u, y1, y2, k0, k1, k2))
     x1, x2, u, y1, y2, k0, k1, k2 = (np.concatenate(col) for col in zip(*parts))
     len0, len1, len2 = (_per_k(k, plain_code_length)[0] for k in (k0, k1, k2))
@@ -349,19 +368,27 @@ def gw_run_trials(model: GwModel, n: int, seed: Seed) -> dict:
                 k2=k2, len0=len0, len1=len1, len2=len2)
 
 
-def gw_decode_trials(model: GwModel, seed: Seed, ks: np.ndarray) -> np.ndarray:
-    """(u, y1, y2) of gw_decode(model, *ks[t], derive_subseed(seed, t, "gw")) for
-    each row t of the (n, 3) array ks, a chunk at once; zero gaps rerun a trial."""
-    out = np.empty(ks.shape, dtype=np.int64)
-    for span in chunk_spans(len(ks), _CHUNK):
-        keys, zero = stream_keys(seed, span, "gw", "gw-u", "gw-y1", "gw-y2"), set()
-        k0, k1, k2 = ks[span.start:span.stop].T
-        u = out[span, 0] = nth_marks(keys[1], k0, model.p_u.cumulative())
-        for i, side, kk, k in zip((1, 2), model.sides, (keys[2:4], keys[4:]), (k1, k2)):
-            out[span, i] = side.scan_span(kk, u, zero.add, ks=k)[1]
-        for t in (span[i] for i in zero):
-            out[t] = gw_decode(model, *ks[t].tolist(), derive_subseed(seed, t, "gw"))
+def gw_decode_chunk(model: GwModel, seed: Seed, span, keys, ks) -> np.ndarray:
+    """(u, y1, y2) rows of gw_decode(model, *ks[:, i], derive_subseed(seed, span[i],
+    "gw")) for each trial i of span, keys its stream_keys for "gw-u", "gw-y1" and
+    "gw-y2"; ks holds the k0, k1 and k2 columns.  A zero gap reruns a trial."""
+    zero = set()
+    u = nth_marks(keys[1], ks[0], model.p_u.cumulative())
+    out = np.stack([u, *(side.scan_span(kk, u, zero.add, ks=k)[1] for side, kk, k
+                         in zip(model.sides, (keys[2:4], keys[4:]), ks[1:]))])
+    for i in zero:
+        out[:, i] = gw_decode(model, *(int(k[i]) for k in ks),
+                              derive_subseed(seed, span[i], "gw"))
     return out
+
+
+def gw_decode_trials(model: GwModel, seed: Seed, ks: np.ndarray) -> np.ndarray:
+    """gw_decode_chunk over the rows of the (n, 3) array ks, trial t at row t."""
+    return np.concatenate([
+        gw_decode_chunk(model, seed, span, stream_keys(seed, span, "gw", "gw-u",
+                                                       "gw-y1", "gw-y2"),
+                        ks[span.start:span.stop].T).T
+        for span in chunk_spans(len(ks), model.chunk_width)])
 
 
 def gw_records_to_csv(table: dict, fh) -> None:

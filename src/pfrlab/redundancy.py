@@ -28,10 +28,7 @@ sizes; the engine falls back to pfr_select for a trial whose drawn gaps hold
 a zero.  The sweep selects over spans of _SPAN = 1024 trials, where rounds
 of one 8-point time group, or one 4-point SHA-256 block at f_max <= 3, are
 cheap enough that each scan draws just the groups or blocks its stop rule
-examines (:func:`_round_points`).  The Gray-Wyner trials keep chunks of
-_CHUNK = 128, because their private scans hold every drawn base point of a
-chunk: the common index runs on select_span, its private indices on
-scan_rounds.
+examines (:func:`_round_points`).
 """
 
 import math
@@ -48,10 +45,9 @@ from .pfr import _ratio_rows, pfr_scan_rows, pfr_select
 from .prob import DistortionMatrix, FinitePmf, Seed, entropy, sample_pmf_keys
 from .rd import RdSolution, tilted_information
 
-# trials per span of the sweep's selections and CSV batch, and per Gray-Wyner
-# chunk; each bounds its working arrays whatever n is
+# trials per span of the sweep's selections and CSV batch, and at most per
+# Gray-Wyner chunk; it bounds their working arrays whatever n is
 _SPAN = 1024
-_CHUNK = 128
 
 ETA_KINDS = ("PRR", "PSR", "PSDR")
 CODE_KINDS = ("plain", "delta")
@@ -240,6 +236,19 @@ def _exp2(e: float) -> float:
     return 2.0 ** e if e < 1024.0 else math.inf
 
 
+@lru_cache(maxsize=16)
+def _bound_tables(sol: RdSolution, source: FinitePmf) -> tuple:
+    """bound_rhs's tables that do not depend on gamma, built once per (solution,
+    source): on the (x, y) where source x kernel is positive, those weights,
+    iota, 2^iota + 1 and the eta column of each kind."""
+    iota, j_x, j_xd = _tables(sol)
+    w = source.probs[:, None] * sol.kernel.rows
+    mask = w > 0.0
+    etas = dict(PRR=np.full(mask.sum(), sol.rate),
+                PSR=np.broadcast_to(j_x[:, None], w.shape)[mask], PSDR=j_xd[mask])
+    return w[mask], iota[mask], np.exp2(iota[mask]) + 1.0, etas
+
+
 def bound_rhs(sol: RdSolution, source: FinitePmf, d: DistortionMatrix,
               eta_kind: str, code_kind: str, gamma: float,
               variant: str = "") -> float:
@@ -261,30 +270,17 @@ def bound_rhs(sol: RdSolution, source: FinitePmf, d: DistortionMatrix,
     if variant.startswith("psdr") and eta_kind != "PSDR":
         raise UnsupportedEta(f"variant {variant!r} applies to PSDR only")
 
-    iota_tab, j_x, j_xd = _tables(sol)
-    rows = sol.kernel.rows
-    w = source.probs[:, None] * rows
-    mask = w > 0.0
-    weights = w[mask]
-    iota = iota_tab[mask]
-    if eta_kind == "PRR":
-        eta = np.full(weights.size, sol.rate)
-    elif eta_kind == "PSR":
-        eta = np.broadcast_to(j_x[:, None], rows.shape)[mask]
-    else:
-        eta = j_xd[mask]
-
+    weights, iota, iota_up, etas = _bound_tables(sol, source)
+    eta = etas[eta_kind]
     if variant == "general":
-        return _exp2(-gamma + 1.0) * float(
-            np.dot(weights, np.exp2(-eta) * (np.exp2(iota) + 1.0)))
+        return _exp2(-gamma + 1.0) * float(np.dot(weights, np.exp2(-eta) * iota_up))
     if variant == "clipped":
-        term = np.exp2(-eta - gamma + 1.0) * (np.exp2(iota) + 1.0)
+        term = np.exp2(-eta - gamma + 1.0) * iota_up
         return float(np.dot(weights, np.minimum(term, 1.0)))
     # [.]_+ is capped so its square stays finite: past 1e150 the 2^-g factor is 0
     if variant == "prefix":
         plus = np.clip(eta + gamma, 0.0, 1e150)
-        term = (np.exp2(-eta - gamma + 2.0) * (plus + 1.0) ** 2
-                * (np.exp2(iota) + 1.0))
+        term = np.exp2(-eta - gamma + 2.0) * (plus + 1.0) ** 2 * iota_up
         return float(np.dot(weights, np.minimum(term, 1.0)))
     if variant == "psdr_simple":
         return _exp2(-gamma + 2.0)

@@ -271,15 +271,15 @@ class TestGrayWyner:
         assert main(["gray-wyner", "--config", cfg, "--out", str(tmp_path)]) == 4
 
     def test_batched_round_trip_breach_exit_4(self, tmp_path, monkeypatch, capsys):
-        import pfrlab.cli as cli_mod
-        decode = cli_mod.gw_decode_trials
+        from pfrlab import gray_wyner
+        decode = gray_wyner.gw_decode_chunk
 
-        def off_by_one(model, seed, ks):
-            out = decode(model, seed, ks)
-            out[len(ks) - 1, 2] += 1
+        def off_by_one(model, seed, span, keys, ks):
+            out = decode(model, seed, span, keys, ks)
+            out[2, len(span) - 1] += 1
             return out
 
-        monkeypatch.setattr(cli_mod, "gw_decode_trials", off_by_one)
+        monkeypatch.setattr(gray_wyner, "gw_decode_chunk", off_by_one)
         cfg = write_config(tmp_path, self.gw_payload(trials=300))
         assert main(["gray-wyner", "--config", cfg, "--out", str(tmp_path)]) == 4
         assert "round-trip mismatch at trial 299" in capsys.readouterr().err
@@ -391,7 +391,8 @@ class TestExitCodes:
 
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
-DEMO_CONFIGS = ("bsc_sweep.json", "gw_common_bit.json", "pfr_verify.json")
+DEMO_CONFIGS = ("bsc_sweep.json", "gw_common_bit.json", "gw_noisy_3x3x3.json",
+                "pfr_verify.json")
 DROP = "<drop>"
 RAGGED = [["0.5", "0.5"], ["1"]]
 MUTATIONS = (DROP, None, True, "x", -1, -0.5, 1e308, RAGGED)

@@ -44,25 +44,6 @@ def squared_error5():
             "gamma_grid": [str(g) for g in range(-2, 11)]}
 
 
-def noisy_kernel(rows, cols, salt):
-    """Full-support kernel with fixed integer weights, as exact decimal strings."""
-    out = []
-    for i in range(rows):
-        w = [1 + (7 * i + 3 * j + salt) % 5 for j in range(cols)]
-        out.append([repr(v / sum(w)) for v in w])
-    return out
-
-
-def noisy_gw():
-    """Non-binary Gray-Wyner model: n1 = n2 = nu = 3, ny1 = 3, ny2 = 4."""
-    joint = [[repr(v / 45) for v in row] for row in ([9, 4, 2], [3, 8, 4], [2, 5, 8])]
-    return {"seed": "c0de" * 16,
-            "gray_wyner": {"joint_source": joint,
-                           "u_kernel": noisy_kernel(9, 3, 0),
-                           "y1_kernel": noisy_kernel(9, 3, 1),
-                           "y2_kernel": noisy_kernel(9, 4, 2)}}
-
-
 # case -> (subcommand, config, exit code, {csv name: SHA-256})
 CASES = {
     "rd-curve-bsc": ("rd-curve", lambda: demo("bsc_sweep.json", drop_mode=True), 0, {
@@ -84,7 +65,8 @@ CASES = {
     "gw-common-bit": ("gray-wyner", lambda: demo("gw_common_bit.json"), 0, {
         "gw_summary.csv": "166c794c5dae7bf1ac38b9d8604cd887b419c8f9c6018a0eaf99c979b1bf589c",
         "gw_trials.csv": "2464537755ec05c626d91fea5ec4b1f03989312ff6e4954221c9741ca164f264"}),
-    "gw-noisy-3x3x3": ("gray-wyner", noisy_gw, 0, {
+    # non-binary: n1 = n2 = nu = ny1 = 3 and ny2 = 4, every kernel full-support
+    "gw-noisy-3x3x3": ("gray-wyner", lambda: demo("gw_noisy_3x3x3.json"), 0, {
         "gw_summary.csv": "4781452038b21cba10ef13758de7fdad5533b832a65a9909a415d3950a1321f3",
         "gw_trials.csv": "a9e0f49129f9de5704a3682c80b29756939709b02a186b28531398c59c33f2cd"}),
 }

@@ -339,10 +339,62 @@ class TestBatchedEqualsStreaming:
         recs = gw_run_trials(model, n, seed)
         ks = np.array(rows(recs, "k0", "k1", "k2"))
         decoded = gw_decode_trials(model, seed, ks).tolist()
-        # the gw-u scan of trial 7 reruns on its stream; trial 12 reruns whole.
-        # Decoding u reads mark words only, so the gw-u gap has no effect there
-        assert calls == {"pfr_select": 1, "gw_encode": 1, "gw_decode": 1}
+        # the gw-u scan of trial 7 reruns on its stream; trial 12 reruns whole,
+        # and is decoded by gw_decode both in gw_run_trials' own check and in
+        # gw_decode_trials.  Decoding u reads mark words only, so the gw-u gap
+        # has no effect there
+        assert calls == {"pfr_select": 1, "gw_encode": 1, "gw_decode": 2}
         monkeypatch.undo()
         patch_first_words(monkeypatch, blocks)
         assert_batched_equals_streaming(model, n, seed)
         assert [tuple(d) for d in decoded] == rows(recs, "u", "y1", "y2")
+
+
+def long_scan_model(eps):
+    """x1 = 1 with probability eps, and then y1 = 1, which p(y1 | u) also gives
+    probability eps: decoder 1's scans at x1 = 1 run about 1 / eps points."""
+    return GwModel(joint_source=np.array([[1.0 - eps], [eps]]),
+                   u_kernel=Kernel(np.ones((2, 1))), y1_kernel=Kernel(np.eye(2)),
+                   y2_kernel=Kernel(np.ones((1, 1))))
+
+
+def with_width(model, width):
+    """The model, with gw_run_trials' chunk width forced to width."""
+    model.__dict__["chunk_width"] = width
+    return model
+
+
+class TestChunkWidth:
+    @pytest.mark.parametrize("make, n", [
+        (lambda: random_model(8), 300),
+        (lambda: sparse_model(11, 3, 3, 3, 5, 4, dead_u=1), 200),
+        (lambda: sparse_model(5, 2, 2, 2, 64, 64, dead_u=9), 150)],
+        ids=["random", "sparse", "sparse-64"])
+    def test_tables_do_not_depend_on_the_width(self, make, n):
+        assert make().chunk_width == redundancy._SPAN
+        want = gw_run_trials(make(), n, SEED)
+        for width in (1, 7, 128, 1024):
+            assert_same_table(gw_run_trials(with_width(make(), width), n, SEED), want)
+            ks = np.array(rows(want, "k0", "k1", "k2"))
+            assert gw_decode_trials(with_width(make(), width), SEED, ks).tolist() == [
+                list(r) for r in rows(want, "u", "y1", "y2")]
+
+    def test_long_private_scans_get_fewer_rows(self, monkeypatch):
+        # f_max = 512 at (x1, u) = (1, 0), and r = 1: 2^18 / 512 rows
+        model = long_scan_model(2.0 ** -9)
+        assert model.sides[0].f_max.max() == pytest.approx(512.0)
+        assert model.chunk_width == 512
+        spans, keys = [], gray_wyner.stream_keys
+
+        def counted(seed, trials, *labels):
+            spans.append(len(trials))
+            return keys(seed, trials, *labels)
+
+        monkeypatch.setattr(gray_wyner, "stream_keys", counted)
+        table = gw_run_trials(model, 2000, SEED)
+        assert spans == [512, 512, 512, 464]
+        assert (table["x1"] == 1).sum() > 1
+        monkeypatch.undo()
+        assert_same_table(gw_run_trials(with_width(long_scan_model(2.0 ** -9), 1024),
+                                        2000, SEED), table)
+        assert common_bit_model().chunk_width == redundancy._SPAN

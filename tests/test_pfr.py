@@ -13,8 +13,11 @@ from pfrlab import (AbsoluteContinuityViolated, FinitePmf, GwModel, Kernel, Seed
                     solve_at_distortion)
 from pfrlab import prob, redundancy
 from pfrlab.codebook import draw_points, stream_keys
-from pfrlab.redundancy import _CHUNK, _SPAN, _round_points, select_span
+from pfrlab.redundancy import _SPAN, _round_points, select_span
 from conftest import PROPERTY, binary_entropy, patch_first_words, uniform_hamming
+
+# a span narrower than the sweep's: more rounds per scan, spans cross it
+NARROW = 128
 
 TARGET = FinitePmf(np.array([0.8, 0.2]))
 UNIFORM = FinitePmf.uniform(2)
@@ -247,8 +250,8 @@ class TestBatchedScanProperty:
     @PROPERTY
     @given(pair=pmf_pairs(), seed=st.integers(min_value=0, max_value=2**64),
            first=st.integers(min_value=0, max_value=2**40),
-           n=st.integers(min_value=1, max_value=2 * _CHUNK + 40).filter(
-               lambda n: n % _CHUNK),
+           n=st.integers(min_value=1, max_value=2 * NARROW + 40).filter(
+               lambda n: n % NARROW),
            pick=st.integers(min_value=0, max_value=2**16))
     def test_equals_streaming_pfr_select(self, pair, seed, first, n, pick):
         target, proposal = pair
@@ -280,7 +283,7 @@ class TestBatchedScanProperty:
         assert list(zip(ks.tolist(), ys.tolist())) == streaming(
             Seed.from_int(seed), trials, targets, xs, proposal)
 
-    @pytest.mark.parametrize("rows", [1, 100, _CHUNK, 1000, _SPAN, 2 ** 15 + 1])
+    @pytest.mark.parametrize("rows", [1, 100, NARROW, 1000, _SPAN, 2 ** 15 + 1])
     def test_round_points_are_whole_groups_within_the_budget(self, rows):
         sizes = [_round_points(f_max, rows)
                  for f_max in (0.0, 1.0, 32.0, 5e3, 1e6, 1e12, 1e300, math.inf)]
@@ -295,7 +298,7 @@ class TestBatchedScanProperty:
         assert _round_points(32.0, rows) == 8
 
     def test_rounds_fit_the_point_budget(self, monkeypatch):
-        # f_max = 5,000 (144 points per round and scan) on a Gray-Wyner chunk
+        # f_max = 5,000 (144 points per round and scan) on a 128-trial span
         # and 500 (48) on a sweep span; every (width / 128)-th trial is
         # checked against the streaming scan
         round_points = []
@@ -306,13 +309,13 @@ class TestBatchedScanProperty:
 
         monkeypatch.setattr(redundancy, "draw_points", counted)
         seed, target = Seed.from_int(5), FinitePmf(np.array([0.5, 0.5]))
-        for width, q0 in ((_CHUNK, 1e-4), (_SPAN, 1e-3)):
+        for width, q0 in ((NARROW, 1e-4), (_SPAN, 1e-3)):
             round_points.clear()
             trials, xs = range(width), np.zeros(width, dtype=np.int64)
             proposal = FinitePmf(np.array([q0, 1.0 - q0]))
             ks, ys = select_span(seed, trials, [target], xs, proposal)
             assert len(round_points) > 1 and max(round_points) <= 2 ** 18
-            every = width // _CHUNK
+            every = width // NARROW
             assert list(zip(ks[::every].tolist(), ys[::every].tolist())) == streaming(
                 seed, trials[::every], [target], xs[::every], proposal)
 

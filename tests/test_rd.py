@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pfrlab import (DistortionMatrix, FinitePmf, NotConverged, TargetOutOfRange,
                     ba_fixed_slope, information_density, mutual_information,
                     solve_at_distortion, tilted_information)
-from conftest import binary_entropy
+from conftest import PROPERTY, binary_entropy
 
 
 def pmf(*vals):
@@ -109,6 +111,35 @@ class TestSolutionInvariants:
             if d0 - d1 > 1e-7:
                 chords.append((r1 - r0) / (d0 - d1))
         assert all(b >= a - 1e-6 for a, b in zip(chords, chords[1:]))
+
+
+@st.composite
+def slope_problems(draw):
+    """A source on at most 5 symbols (one of them sure to be positive), a
+    distortion matrix of up to 5 columns with entries in [0, 4], and a slope."""
+    m, n = (draw(st.integers(min_value=1, max_value=5)) for _ in range(2))
+    p = np.array(draw(st.lists(st.integers(0, 9), min_size=m, max_size=m)), float)
+    p[draw(st.integers(min_value=0, max_value=m - 1))] += 1.0
+    d = draw(st.lists(st.lists(st.integers(0, 8), min_size=n, max_size=n),
+                      min_size=m, max_size=m))
+    s = draw(st.floats(min_value=0.01, max_value=20.0))
+    return FinitePmf(p / p.sum()), DistortionMatrix(np.array(d, float) / 2.0), s
+
+
+class TestGapCertificate:
+    @PROPERTY
+    @given(problem=slope_problems(), tol=st.sampled_from([1e-4, 1e-7, 1e-10]))
+    def test_objective_within_tol_of_the_dual_bound(self, problem, tol):
+        # for any q, sum_x p(x) (-log2 sum_y q(y) 2^{-s d(x, y)}) - log2 max_y c_y
+        # is at most min R + s D; ba_fixed_slope's own point is within tol of it
+        source, d, s = problem
+        sol = ba_fixed_slope(source, d, s, tol=tol)
+        a = np.exp2(-s * d.d)
+        z = a @ sol.output_marginal.probs
+        c = (source.probs / z) @ a
+        lower = float(source.probs @ -np.log2(z)) - math.log2(float(c.max()))
+        excess = sol.rate + s * sol.distortion - lower
+        assert -1e-12 <= excess <= tol + 1e-12
 
 
 class TestTiltedInformation:

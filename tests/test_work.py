@@ -16,14 +16,16 @@ from test_golden import TRIALS, demo, hamming
 
 # case -> (subcommand, config, (digests, points drawn, rounds)); the scans of
 # the bsc demo (f_max = 1.78) and of the Gray-Wyner demo draw 4-point SHA-256
-# blocks, those of uniform-Hamming m = 64 (f_max = 32) 8-point time groups
+# blocks, those of uniform-Hamming m = 64 (f_max = 32) 8-point time groups.
+# The Gray-Wyner demo runs two 1024-trial chunks, each decoded with the keys
+# its encoder derived
 WORK = {
     "sweep-bsc": ("redundancy-sweep", lambda: demo("bsc_sweep.json"),
                   (16_382, 8_764, 6)),
     "sweep-hamming64": ("redundancy-sweep", lambda: hamming(64, "0.5"),
                         (49_412, 74_824, 63)),
     "gw-common-bit": ("gray-wyner", lambda: demo("gw_common_bit.json"),
-                      (58_878, 43_340, 201)),
+                      (44_878, 43_340, 34)),
 }
 
 

@@ -12,10 +12,21 @@ speed falls on both sides alike.  Each run's own JSON result line is kept.
 
 The file holds every run, and per workload and metric (the end-to-end ones,
 or with ``--trace 1`` the per-layer ones) the median and quartiles of each
-side, the change's median over the parent's, and the pairs the change won
-(a win is a better value than the parent's run of the same pair, in the
-direction BENCHMARK.json gives).  The tool exits 1 when a run reports
-failed processes, after writing the file.
+side, the change's median over the parent's, the pairs the change won (a win
+is a better value than the parent's run of the same pair, in the direction
+BENCHMARK.json gives) and a verdict:
+
+* ``gain``: the change won at least 9 in 10 pairs, and its median is better
+  than the parent's by more than the parent's interquartile range;
+* ``regression``: the change's median is worse than the parent's by more
+  than the metric's bound in BENCHMARK.json (a fraction of the parent's);
+* ``unresolved``: neither, but the parent's interquartile range is wider
+  than that bound, and some run of the change reads no better than some run
+  of the parent, so the runs cannot tell a regression within the bound;
+* ``within bound``: neither, and the spread is narrow enough to tell;
+* ``no gain``: neither a gain nor a regression, for a metric without a bound.
+
+The tool exits 1 when a run reports failed processes, after writing the file.
 """
 
 import argparse
@@ -76,9 +87,29 @@ def quartiles(values: list) -> tuple:
     return q1, q2, q3
 
 
-def summarize(runs: list, better: dict) -> dict:
-    """Per metric: each side's median and quartiles, the ratio of medians, and
-    the pairs the change won.  runs are dicts with pair, side and metrics."""
+def verdict(entry: dict, bound, parent: list, change: list) -> str:
+    """The verdict on one metric's summary entry (see the module docstring);
+    bound is the metric's relative bound or None, parent and change its runs."""
+    sign = 1.0 if entry["better"] == "higher" else -1.0
+    base, iqr = entry["parent"]["median"], entry["parent"]["iqr"]
+    gap = sign * (entry["change"]["median"] - base)
+    if 10 * entry["pairs_won"] >= 9 * entry["pairs"] and gap > iqr:
+        return "gain"
+    if bound is None:
+        return "no gain"
+    if -gap > bound * abs(base):
+        return "regression"
+    # every run of the change better than every run of the parent settles it
+    settled = min(sign * v for v in change) > max(sign * v for v in parent)
+    if iqr > bound * abs(base) and not settled:
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(runs: list, better: dict, bounds=None) -> dict:
+    """Per metric: each side's median and quartiles, the ratio of medians, the
+    pairs the change won and the verdict, under the relative bounds of the
+    metrics that have one.  runs are dicts with pair, side and metrics."""
     pairs = {}
     for run in runs:
         pairs.setdefault(run["pair"], {})[run["side"]] = run["metrics"]
@@ -96,6 +127,7 @@ def summarize(runs: list, better: dict) -> dict:
         entry["change_over_parent"] = entry["change"]["median"] / base if base else None
         sign = 1.0 if direction == "higher" else -1.0
         entry["pairs_won"] = sum(sign * (c - p) > 0 for p, c in both)
+        entry["verdict"] = verdict(entry, (bounds or {}).get(metric), *zip(*both))
         out[metric] = entry
     return out
 
@@ -114,8 +146,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"]
-              for m in bench["per_layer" if args.trace else "end_to_end"]}
+    metrics = bench["per_layer" if args.trace else "end_to_end"]
+    better = {m["name"]: m["better"] for m in metrics}
+    bounds = {m["name"]: m["bound"] for m in metrics if "bound" in m}
     seeds = parse_seeds(args.seeds)
     out = {"what": args.what,
            "command": "python3 tools/paired_bench.py " + shlex.join(
@@ -144,7 +177,7 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: "
                           + json.dumps(metrics), flush=True)
             out["workloads"][workload] = {"seeds": seeds,
-                                          "summary": summarize(runs, better),
+                                          "summary": summarize(runs, better, bounds),
                                           "runs": runs}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")

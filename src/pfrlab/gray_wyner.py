@@ -33,7 +33,8 @@ from .codebook import (CodebookStream, MarkedPoint, arrival_stream, derive_subse
                        nth_marks, stream_keys)
 from .errors import RoundTripMismatch, UnsupportedPoint
 from .pfr import pfr_scan_rows, pfr_select
-from .prob import FinitePmf, Kernel, Seed, SymbolId, kl_divergence
+from .prob import (FinitePmf, Kernel, Seed, SymbolId, information_density_table,
+                   mutual_information, weighted_kl)
 from .redundancy import (_SPAN, _per_k, _round_points, _write_table, chunk_spans,
                          scan_rounds, select_span, trial_chunks)
 
@@ -89,12 +90,8 @@ class GwModel:
     def nu(self) -> int:
         return self.u_kernel.shape[1]
 
-    @cached_property
-    def _u_rows(self) -> tuple:
-        return tuple(self.u_kernel.row(i) for i in range(self.u_kernel.shape[0]))
-
     def u_target(self, x1: SymbolId, x2: SymbolId) -> FinitePmf:
-        return self._u_rows[x1 * self.n2 + x2]
+        return self.u_kernel.row(x1 * self.n2 + x2)
 
     @cached_property
     def source_pmf(self) -> FinitePmf:
@@ -115,22 +112,15 @@ class GwModel:
     @cached_property
     def mi_u_sources(self) -> float:
         """I(U; X1, X2) in bits."""
-        total = 0.0
-        for row, w in enumerate(self.source_pmf.probs):
-            if w > 0:
-                total += w * kl_divergence(self.u_kernel.row(row), self.p_u)
-        return total
+        return mutual_information(self.source_pmf, self.u_kernel)
 
     def mi_y_source_given_u(self, which: int) -> float:
-        """I(Y_i; X_i | U) in bits."""
+        """I(Y_i; X_i | U) in bits, summed over u, then x."""
         side = self.sides[which - 1]
-        total = 0.0
-        for u, cond_pmf in enumerate(side.cond_pmfs):
-            for x in range(side.p_x_u.shape[0]):
-                w = side.p_x_u[x, u]
-                if w > 0:
-                    total += w * kl_divergence(side.target(x, u), cond_pmf)
-        return total
+        xs = range(side.p_x_u.shape[0])
+        return weighted_kl(side.p_x_u.T.ravel(),
+                           [side.target(x, u) for u in range(side.nu) for x in xs],
+                           [q for q in side.cond_pmfs for _ in xs])
 
     def conditional_triple_law(self, x1: SymbolId, x2: SymbolId) -> np.ndarray:
         """Law of (u, y1, y2) given the source pair, as a (nu, ny1, ny2) array."""
@@ -218,14 +208,13 @@ class GwSide:
 
     kernel rows are indexed by x_i * nu + u and p_x_u is the joint law of
     (x_i, u).  Holds p_y, p(y | u) with its pmfs, the iota(u; y) table that
-    drives the time rescaling, the re-sort tables for each u, and the density
-    ratios of the targets against p(y | u).
+    drives the time rescaling, the re-sort tables (scale and r, a row and an
+    entry per u), and the density ratios of the targets against p(y | u).
     """
 
     def __init__(self, p_x_u: np.ndarray, kernel: Kernel, label: str):
         (nx, nu), ny = p_x_u.shape, kernel.shape[1]
-        self.p_x_u, self.nu, self.label = p_x_u, nu, label
-        self.rows = tuple(kernel.row(i) for i in range(kernel.shape[0]))
+        self.p_x_u, self.kernel, self.nu, self.label = p_x_u, kernel, nu, label
         # a sum over x in order, as a loop over x adds (numpy's may pair terms)
         joint_uy = sum((p_x_u.reshape(-1, 1) * kernel.rows).reshape(nx, nu, ny))
         s = joint_uy.sum(axis=1, keepdims=True)
@@ -233,28 +222,22 @@ class GwSide:
         cond = np.divide(joint_uy, s, out=np.full((nu, ny), 1.0 / ny), where=s > 0)
         self.p_y = FinitePmf(joint_uy.sum(axis=0))
         self.p_y_given_u = cond
-        self.cond_pmfs = tuple(FinitePmf(row) for row in cond)
-        p_y = self.p_y.probs
-        with np.errstate(divide="ignore"):
-            self.iota = np.where(cond > 0.0,
-                                 np.log2(np.divide(cond, p_y[None, :],
-                                                   out=np.ones_like(cond),
-                                                   where=p_y > 0)),
-                                 -np.inf)
-        self.resort = tuple(resort_tables(self.p_y, row) for row in self.iota)
-        self.scale, self.r = (np.array(a) for a in zip(*self.resort))
+        self.cond_pmfs = Kernel(cond).pmfs
+        self.iota = information_density_table(cond, self.p_y.probs)
+        self.scale, self.r = (np.array(a) for a in zip(
+            *(resort_tables(self.p_y, row) for row in self.iota)))
         q = np.tile(cond, (nx, 1))  # row x * nu + u: p(y | u), the proposal
         self.f = np.divide(kernel.rows, q, out=np.zeros_like(q), where=q > 0)
         self.f_max = self.f.max(axis=1)
 
     def target(self, x: SymbolId, u: SymbolId) -> FinitePmf:
         """The kernel row of (x_i, u): the law y_i is selected from."""
-        return self.rows[x * self.nu + u]
+        return self.kernel.row(x * self.nu + u)
 
     def stream(self, u: SymbolId, seed: Seed) -> ResortedStream:
         """This side's shared y-stream under seed, re-sorted for u."""
         return ResortedStream(arrival_stream(seed, self.label, self.p_y),
-                              *self.resort[u], self.cond_pmfs[u])
+                              self.scale[u].tolist(), float(self.r[u]), self.cond_pmfs[u])
 
     def scan_span(self, keys, us, fallback, xs=None, ks=None) -> tuple:
         """(k, y) of gw_encode's selection on this side for rows (xs, us), or of
@@ -344,7 +327,7 @@ def gw_run_trials(model: GwModel, n: int, seed: Seed) -> dict:
     Returns the trial table, a numpy column per field of GW_CSV_HEADER."""
     # a pair of probability 0 is never drawn; p_u stands in for its u-target
     u_rows = [row if w > 0 else model.p_u
-              for row, w in zip(model._u_rows, model.source_pmf.probs)]
+              for row, w in zip(model.u_kernel.pmfs, model.source_pmf.probs)]
     parts = []
     for span, pairs in trial_chunks(model.source_pmf, seed, n, model.chunk_width):
         keys, zero = stream_keys(seed, span, "gw", "gw-u", "gw-y1", "gw-y2"), set()

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AbsoluteContinuityViolated, DegenerateTarget
-from .prob import FinitePmf, Kernel, SymbolId, kl_divergence
+from .prob import FinitePmf, Kernel, SymbolId, weighted_kl
 
 
 @dataclass(frozen=True)
@@ -147,9 +147,4 @@ def dominance_parameter(target: FinitePmf, proposal: FinitePmf,
 
 def expected_log_k_bound(px: FinitePmf, k: Kernel, q: FinitePmf) -> float:
     """Upper bound on E[log2 K]: the px-average of KL(k[x] || q), plus one bit."""
-    total = 0.0
-    for x in range(len(px)):
-        w = float(px.probs[x])
-        if w > 0:
-            total += w * kl_divergence(k.row(x), q)
-    return total + 1.0
+    return weighted_kl(px.probs, k.pmfs, [q] * len(px)) + 1.0

@@ -10,7 +10,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -229,7 +229,8 @@ class FinitePmf:
 
 @dataclass(frozen=True, eq=False)
 class Kernel:
-    """Conditional distribution: row x is a FinitePmf over the output alphabet."""
+    """Conditional distribution: row x is a FinitePmf over the output alphabet,
+    built once (pmfs), so a row is one object and keys one cache entry."""
 
     rows: np.ndarray
 
@@ -251,8 +252,12 @@ class Kernel:
     def shape(self) -> tuple:
         return self.rows.shape
 
+    @cached_property
+    def pmfs(self) -> tuple:
+        return tuple(FinitePmf(r) for r in self.rows)
+
     def row(self, x: SymbolId) -> FinitePmf:
-        return FinitePmf(self.rows[x])
+        return self.pmfs[x]
 
     def output_marginal(self, px: FinitePmf) -> FinitePmf:
         """Law of the output when the input follows px."""
@@ -288,15 +293,28 @@ def entropy(p: FinitePmf) -> float:
     return float(-(a * np.log2(a)).sum())
 
 
+def weighted_kl(weights, pmfs, laws) -> float:
+    """The sum of w KL(p || q) in bits over the (w, p, q) of zip(weights, pmfs,
+    laws) with w > 0, added in that order; each such p must be absolutely
+    continuous w.r.t. its q."""
+    if len(weights) != len(pmfs):
+        raise ValueError("weighted_kl needs one weight per pmf")
+    total = 0.0
+    for w, p, q in zip(weights, pmfs, laws):
+        if w > 0:
+            if len(p) != len(q):
+                raise ValueError("kl_divergence needs a common alphabet")
+            mask = p.probs > 0
+            if np.any(q.probs[mask] == 0):
+                raise AbsoluteContinuityViolated("p has mass where q is zero")
+            pa, qa = p.probs[mask], q.probs[mask]
+            total += w * float((pa * np.log2(pa / qa)).sum())
+    return float(total)
+
+
 def kl_divergence(p: FinitePmf, q: FinitePmf) -> float:
     """KL divergence in bits; requires p absolutely continuous w.r.t. q."""
-    if len(p) != len(q):
-        raise ValueError("kl_divergence needs a common alphabet")
-    mask = p.probs > 0
-    if np.any(q.probs[mask] == 0):
-        raise AbsoluteContinuityViolated("p has mass where q is zero")
-    pa, qa = p.probs[mask], q.probs[mask]
-    return float((pa * np.log2(pa / qa)).sum())
+    return weighted_kl((1.0,), (p,), (q,))
 
 
 def information_density(joint: Kernel, px: FinitePmf, x: SymbolId, y: SymbolId) -> float:
@@ -310,15 +328,17 @@ def information_density(joint: Kernel, px: FinitePmf, x: SymbolId, y: SymbolId) 
     return math.log2(w / py)
 
 
+def information_density_table(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """log2(rows[i, y] / q[y]) for every row i and column y: -inf where rows is 0,
+    and 0 where q is 0 but rows is not."""
+    with np.errstate(divide="ignore"):
+        return np.where(rows > 0.0, np.log2(np.divide(
+            rows, q[None, :], out=np.ones_like(rows), where=q > 0)), -np.inf)
+
+
 def mutual_information(px: FinitePmf, k: Kernel) -> float:
     """I(X;Y) in bits: the px-average of KL(k[x] || output marginal)."""
-    py = k.output_marginal(px)
-    total = 0.0
-    for x in range(len(px)):
-        w = float(px.probs[x])
-        if w > 0:
-            total += w * kl_divergence(k.row(x), py)
-    return total
+    return weighted_kl(px.probs, k.pmfs, [k.output_marginal(px)] * len(px))
 
 
 def sample_pmf(p: FinitePmf, rng_state: RngState) -> SymbolId:

@@ -42,7 +42,8 @@ from .codebook import (_BLOCK, arrival_stream, derive_subseed, draw_points,
                         span_keys, stream_keys)
 from .errors import UnsupportedEta
 from .pfr import _ratio_rows, pfr_scan_rows, pfr_select
-from .prob import DistortionMatrix, FinitePmf, Seed, entropy, sample_pmf_keys
+from .prob import (DistortionMatrix, FinitePmf, Seed, entropy,
+                   information_density_table, sample_pmf_keys)
 from .rd import RdSolution, tilted_information
 
 # trials per span of the sweep's selections and CSV batch, and at most per
@@ -74,26 +75,14 @@ def _tables(sol: RdSolution):
     distortion level in row x; the affine form j(x, D) - lambda* (d(x, y) - D)
     is not bit-identical (it turns an exact -0 into -1.1e-16 in the CSV).
     """
-    rows = sol.kernel.rows
-    q = sol.output_marginal.probs
-    with np.errstate(divide="ignore"):
-        iota = np.where(rows > 0.0,
-                        np.log2(np.divide(rows, q[None, :],
-                                          out=np.ones_like(rows), where=q > 0)),
-                        -np.inf)
-    nx = rows.shape[0]
+    iota = information_density_table(sol.kernel.rows, sol.output_marginal.probs)
+    nx = iota.shape[0]
     j_x = np.array([tilted_information(sol, x, sol.distortion) for x in range(nx)])
-    j_xd = np.empty(rows.shape)
+    j_xd = np.empty(iota.shape)
     for x, drow in enumerate(sol.distortion_matrix.d):
         levels, at = np.unique(drow, return_inverse=True)
         j_xd[x] = np.array([tilted_information(sol, x, float(v)) for v in levels])[at]
     return iota, j_x, j_xd
-
-
-@lru_cache(maxsize=16)
-def _targets(sol: RdSolution) -> tuple:
-    """The kernel rows as pmfs, built once per solution; they key the ratio cache."""
-    return tuple(sol.kernel.row(x) for x in range(sol.kernel.shape[0]))
 
 
 def chunk_spans(n: int, width: int):
@@ -196,7 +185,7 @@ def run_trials(sol: RdSolution, source: FinitePmf, d: DistortionMatrix,
     """n independent trials of the one-shot scheme; deterministic in (seed, n).
     Returns the trial table: a dict of CSV_HEADER's fields to numpy columns."""
     iota, j_x, j_xd = _tables(sol)
-    targets, q = _targets(sol), sol.output_marginal
+    targets, q = sol.kernel.pmfs, sol.output_marginal
     chunks = [(xs, *select_span(seed, span, targets, xs, q))
               for span, xs in trial_chunks(source, seed, n, _SPAN)]
     x, k, y = (np.concatenate(col) for col in zip(*chunks))
@@ -274,14 +263,16 @@ def bound_rhs(sol: RdSolution, source: FinitePmf, d: DistortionMatrix,
     eta = etas[eta_kind]
     if variant == "general":
         return _exp2(-gamma + 1.0) * float(np.dot(weights, np.exp2(-eta) * iota_up))
-    if variant == "clipped":
-        term = np.exp2(-eta - gamma + 1.0) * iota_up
-        return float(np.dot(weights, np.minimum(term, 1.0)))
+    # 2^{-eta-g} overflows to inf for g below about -1020; such a term clips to 1.
     # [.]_+ is capped so its square stays finite: past 1e150 the 2^-g factor is 0
-    if variant == "prefix":
-        plus = np.clip(eta + gamma, 0.0, 1e150)
-        term = np.exp2(-eta - gamma + 2.0) * (plus + 1.0) ** 2 * iota_up
-        return float(np.dot(weights, np.minimum(term, 1.0)))
+    with np.errstate(over="ignore"):
+        if variant == "clipped":
+            term = np.exp2(-eta - gamma + 1.0) * iota_up
+            return float(np.dot(weights, np.minimum(term, 1.0)))
+        if variant == "prefix":
+            plus = np.clip(eta + gamma, 0.0, 1e150)
+            term = np.exp2(-eta - gamma + 2.0) * (plus + 1.0) ** 2 * iota_up
+            return float(np.dot(weights, np.minimum(term, 1.0)))
     if variant == "psdr_simple":
         return _exp2(-gamma + 2.0)
     if variant == "psdr_tight":

@@ -38,6 +38,16 @@ def uniform_hamming(m):
     return FinitePmf.uniform(m), DistortionMatrix(1.0 - np.eye(m))
 
 
+def iota_reference(rows, q):
+    """log2(rows / q) per row, -inf where rows is 0: the expression each module
+    once wrote out for its information-density table."""
+    with np.errstate(divide="ignore"):
+        return np.where(rows > 0.0,
+                        np.log2(np.divide(rows, q[None, :],
+                                          out=np.ones_like(rows), where=q > 0)),
+                        -np.inf)
+
+
 def head(table, n):
     """The first n rows of a trial table (a dict of numpy columns)."""
     return {name: col[:n] for name, col in table.items()}

@@ -1,8 +1,9 @@
 """Golden digests: every CSV of every subcommand, byte for byte, at 2,000 trials.
 
 The digests and exit codes were recorded before the selection scan, the
-per-span trial code, the Gray-Wyner decoder sides and the bound tables were
-each reduced to one implementation; the uniform-Hamming m = 256 case
+per-span trial code, the Gray-Wyner decoder sides, the bound tables and the
+law tables (row pmfs, weighted KL sums, information-density and re-sort
+tables) were each reduced to one implementation; the uniform-Hamming m = 256 case
 (f_max = 128, so every scan runs over many points) was recorded before the
 sweeps moved to the batched trial engine.  A refactor must leave every byte
 unchanged.  Each config runs at --threads 1 and 2; trials always run on one

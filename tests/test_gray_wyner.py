@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from pfrlab import (FinitePmf, GwModel, Kernel, ResortedStream, Seed,
                     UnsupportedPoint, arrival_stream, derive_subseed, gw_decode,
-                    gw_dominance_params, gw_encode, gw_run_trials, resort_tables,
-                    sample_pmf)
+                    gw_dominance_params, gw_encode, gw_run_trials, kl_divergence,
+                    resort_tables, sample_pmf)
 from pfrlab import gray_wyner, redundancy
 from pfrlab.codebook import stream_keys
 from pfrlab.gray_wyner import GW_CSV_HEADER, gw_decode_trials
-from conftest import PROPERTY, assert_same_table, group_rows, patch_first_words, rows
+from conftest import (PROPERTY, assert_same_table, group_rows, iota_reference,
+                      patch_first_words, rows)
 
 SEED = Seed.from_int(99)
 
@@ -348,6 +349,57 @@ class TestBatchedEqualsStreaming:
         patch_first_words(monkeypatch, blocks)
         assert_batched_equals_streaming(model, n, seed)
         assert [tuple(d) for d in decoded] == rows(recs, "u", "y1", "y2")
+
+
+def information_loops(model):
+    """I(U; X1, X2), I(Y1; X1 | U) and I(Y2; X2 | U) as one kl_divergence per
+    term, on pmfs built here: the first over source pairs in order, the others
+    over u, then x."""
+    total = 0.0
+    for i, w in enumerate(model.source_pmf.probs):
+        if w > 0:
+            total += w * kl_divergence(FinitePmf(model.u_kernel.rows[i]), model.p_u)
+    out = [total]
+    for side, kernel in zip(model.sides, (model.y1_kernel, model.y2_kernel)):
+        total = 0.0
+        for u, cond in enumerate(side.cond_pmfs):
+            for x in range(side.p_x_u.shape[0]):
+                w = side.p_x_u[x, u]
+                if w > 0:
+                    total += w * kl_divergence(FinitePmf(kernel.rows[x * model.nu + u]),
+                                               cond)
+        out.append(total)
+    return out
+
+
+class TestLawTables:
+    """Each table a GwModel reads has one builder, which gives, bit for bit,
+    what the loops and expressions it replaced gave."""
+
+    @PROPERTY
+    @given(model_seed=st.integers(min_value=0, max_value=2**32),
+           dims=st.tuples(*[st.integers(min_value=1, max_value=3)] * 3,
+                          *[st.integers(min_value=1, max_value=6)] * 2),
+           dead_u=st.integers(min_value=0, max_value=5))
+    def test_equal_the_loops_they_replaced(self, model_seed, dims, dead_u):
+        for model in (random_model(model_seed), sparse_model(model_seed, *dims, dead_u)):
+            mi_u, mi_1, mi_2 = information_loops(model)
+            assert model.mi_u_sources == mi_u
+            assert model.mi_y_source_given_u(1) == mi_1
+            assert model.mi_y_source_given_u(2) == mi_2
+            for side in model.sides:
+                assert np.array_equal(side.iota,
+                                      iota_reference(side.p_y_given_u, side.p_y.probs))
+                scale, r = zip(*(resort_tables(side.p_y, row) for row in side.iota))
+                assert np.array_equal(side.scale, scale) and np.array_equal(side.r, r)
+
+    def test_rows_are_the_kernels_pmfs(self):
+        m = sparse_model(11, 3, 3, 3, 5, 4, dead_u=1)
+        for x1 in range(m.n1):
+            for x2 in range(m.n2):
+                assert m.u_target(x1, x2) is m.u_kernel.row(x1 * m.n2 + x2)
+        for side, kernel in zip(m.sides, (m.y1_kernel, m.y2_kernel)):
+            assert side.target(2, 1) is kernel.row(2 * m.nu + 1) is side.target(2, 1)
 
 
 def long_scan_model(eps):

@@ -4,12 +4,16 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pfrlab import (AbsoluteContinuityViolated, FinitePmf, Kernel, Seed,
-                    UnsupportedOutput, entropy, information_density,
-                    kl_divergence, mutual_information, sample_pmf)
-from pfrlab.prob import RngState, _kdf, _kdf_many, sample_pmf_keys
-from conftest import binary_entropy, patch_first_words
+                    UnsupportedOutput, entropy, expected_log_k_bound,
+                    information_density, kl_divergence, mutual_information,
+                    sample_pmf)
+from pfrlab.prob import (RngState, _kdf, _kdf_many, information_density_table,
+                         sample_pmf_keys)
+from conftest import PROPERTY, binary_entropy, iota_reference, patch_first_words
 
 
 def pmf(*vals):
@@ -163,6 +167,62 @@ class TestMutualInformation:
                         total += px[x] * k.rows[x, y] * 2.0 ** (
                             -information_density(k, px, x, y))
             assert total <= 1.0 + 1e-12
+
+
+def sparse_kernel(seed, m, n):
+    """A random m-symbol source and m x n kernel, both with zero entries; a
+    zero-weight x may have mass where the output marginal has none."""
+    rng = np.random.default_rng(seed)
+    a = rng.random((m, n)) * (rng.random((m, n)) < 0.6)
+    a[np.arange(m), rng.integers(0, n, size=m)] += 0.05
+    w = rng.random(m) * (rng.random(m) < 0.7)
+    w[rng.integers(0, m)] += 0.1
+    return FinitePmf(w / w.sum()), Kernel(a / a.sum(axis=1, keepdims=True))
+
+
+def kl_in_x_order(px, k, q):
+    """sum over x = 0, 1, ... of px(x) KL(k[x] || q) where px(x) > 0, one
+    kl_divergence at a time, on pmfs built here."""
+    total = 0.0
+    for x in range(len(px)):
+        w = float(px.probs[x])
+        if w > 0:
+            total += w * kl_divergence(FinitePmf(k.rows[x]), q)
+    return total
+
+
+class TestSharedBuilders:
+    """The one builder of each law table gives, bit for bit, what the loops and
+    expressions it replaced gave."""
+
+    @PROPERTY
+    @given(seed=st.integers(min_value=0, max_value=2**32),
+           m=st.integers(min_value=1, max_value=6),
+           n=st.integers(min_value=1, max_value=6))
+    def test_equal_the_loops_they_replaced(self, seed, m, n):
+        px, k = sparse_kernel(seed, m, n)
+        py = k.output_marginal(px)
+        full = np.random.default_rng(seed + 1).random(n) + 0.01
+        q = FinitePmf(full / full.sum())
+        assert mutual_information(px, k) == kl_in_x_order(px, k, py)
+        assert expected_log_k_bound(px, k, q) == kl_in_x_order(px, k, q) + 1.0
+        assert expected_log_k_bound(px, k, py) == kl_in_x_order(px, k, py) + 1.0
+        for table_q in (py.probs, q.probs):
+            assert np.array_equal(information_density_table(k.rows, table_q),
+                                  iota_reference(k.rows, table_q))
+
+    def test_one_weight_per_row(self):
+        # a source longer or shorter than the kernel is not summed in part
+        q = FinitePmf.uniform(2)
+        for m in (1, 3):
+            with pytest.raises(ValueError):
+                expected_log_k_bound(FinitePmf.uniform(m), Kernel(np.eye(2)), q)
+
+    def test_kernel_rows_are_built_once(self):
+        _, k = sparse_kernel(7, 4, 3)
+        for x in range(4):
+            assert k.row(x) is k.row(x) is k.pmfs[x]
+            assert np.array_equal(k.row(x).probs, k.rows[x])
 
 
 class TestSampling:

@@ -8,13 +8,15 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from pfrlab import (FinitePmf, Seed, UnsupportedEta, arrival_stream, bound_rhs,
-                    delta_code_length, derive_subseed, encode_delta, encode_plain,
-                    estimate_tail, pfr_select, plain_code_length, records_to_csv,
-                    run_trials, sample_pmf, solve_at_distortion, summary_stats)
+from pfrlab import (CODE_KINDS, ETA_KINDS, DistortionMatrix, FinitePmf, Seed,
+                    UnsupportedEta, arrival_stream, bound_rhs, delta_code_length,
+                    derive_subseed, encode_delta, encode_plain, estimate_tail,
+                    pfr_select, plain_code_length, records_to_csv, run_trials,
+                    sample_pmf, solve_at_distortion, summary_stats)
 from pfrlab import redundancy
 from pfrlab.redundancy import CSV_HEADER
-from conftest import PROPERTY, assert_same_table, head, rows, uniform_hamming
+from conftest import (PROPERTY, assert_same_table, head, iota_reference, rows,
+                      uniform_hamming)
 
 SEED = Seed.from_int(2024)
 # the bound variants that are not clipped at 1
@@ -191,6 +193,18 @@ class TestBoundRhs:
                 assert bound_rhs(bsc_sol, uniform2, hamming2, eta, code, -2000.0,
                                  variant) == math.inf
 
+    def test_very_negative_gamma_is_silent(self, bsc_sol, uniform2, hamming2):
+        # 2^{-eta-g} overflows to inf and every clipped term is 1, so the bound
+        # is the total weight on the support, with no overflow warning
+        w = uniform2.probs[:, None] * bsc_sol.kernel.rows
+        total = float(np.dot(w[w > 0.0], np.ones(int((w > 0.0).sum()))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for eta in ETA_KINDS:
+                for code in CODE_KINDS:
+                    got = bound_rhs(bsc_sol, uniform2, hamming2, eta, code, -2000.0)
+                    assert got.hex() == total.hex()
+
     def test_unclipped_values_unchanged(self, bsc_sol, uniform2, hamming2):
         # the reference is the plain float power 2.0 ** (-g + c)
         rows = bsc_sol.kernel.rows
@@ -220,6 +234,27 @@ class TestBoundRhs:
                       "psdr_simple")
         with pytest.raises(ValueError):
             bound_rhs(bsc_sol, uniform2, hamming2, "PSR", "plain", 1.0, "nope")
+
+
+class TestIotaTable:
+    @pytest.mark.parametrize("m, distortion", [(2, 0.11), (4, 0.3), (3, 0.05)])
+    def test_equals_the_expression_it_replaced(self, m, distortion):
+        source, d = uniform_hamming(m)
+        sol = solve_at_distortion(source, d, distortion)
+        iota = redundancy._tables(sol)[0]
+        assert np.array_equal(iota, iota_reference(sol.kernel.rows,
+                                                   sol.output_marginal.probs))
+
+    def test_pruned_outputs_are_minus_inf(self):
+        # output 2 costs 5 from every source symbol, so BA prunes it to q = 0
+        source = FinitePmf.uniform(2)
+        d = DistortionMatrix([[0.0, 1.0, 5.0], [1.0, 0.0, 5.0]])
+        sol = solve_at_distortion(source, d, 0.2)
+        iota = redundancy._tables(sol)[0]
+        assert sol.output_marginal.probs[2] == 0.0
+        assert np.all(iota[:, 2] == -np.inf)
+        assert np.array_equal(iota, iota_reference(sol.kernel.rows,
+                                                   sol.output_marginal.probs))
 
 
 class TestSummary:

@@ -31,12 +31,14 @@ from .pfr import (_density_ratio, dominance_parameter, geometric_parameter_exact
                   pfr_select)
 from .prob import DistortionMatrix, FinitePmf, Kernel, Seed, kl_divergence
 from .rd import ba_fixed_slope, solve_at_distortion
-from .redundancy import (_SPAN, CODE_KINDS, ETA_KINDS, _mean_se, bound_rhs,
-                         chunk_spans, estimate_tail, records_to_csv, run_trials,
-                         select_span)
+from .redundancy import (_SPAN, CODE_KINDS, ETA_KINDS, TailEstimate, _mean_se,
+                         bound_rhs, chunk_spans, records_to_csv, select_span,
+                         trial_tables)
 
 
-# a run keeps about 128 B of trial columns per trial in memory: 1.3 GB at the ceiling
+# redundancy-sweep keeps one span of trials in memory, whatever the count; but
+# gray-wyner peaks at about 190 B per trial (1.9 GB at the ceiling) and
+# verify-pfr at about 50 B, since they keep every trial's columns
 MAX_TRIALS = 10 ** 7
 # verify-pfr's horizon-x2 replays stream about 2 f_max points each, in Python:
 # they stop after the trial that reaches this many points (about a second)
@@ -323,19 +325,25 @@ def cmd_redundancy_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
         sol = solve_at_distortion(cfg.source, cfg.distortion, cfg.target_D)
     except TargetOutOfRange as e:
         raise ConfigError("target_D", str(e)) from None
-    table = run_trials(sol, cfg.source, cfg.distortion, cfg.trials, cfg.seed)
+    kinds = [(eta, code) for eta in ETA_KINDS for code in CODE_KINDS]
+    gammas = np.array(cfg.gamma_grid)
+    # above[i, g]: trials whose redundancy of kinds[i] is at least gammas[g]
+    above = np.zeros((len(kinds), gammas.size), dtype=np.int64)
     with open(os.path.join(out_dir, "trials.csv"), "w") as fh:
-        records_to_csv(table, fh)
+        for table in trial_tables(sol, cfg.source, cfg.distortion, cfg.trials,
+                                  cfg.seed):
+            records_to_csv(table, fh)
+            above += [(table[f"{eta.lower()}_{code}"][:, None] >= gammas).sum(axis=0)
+                      for eta, code in kinds]
     lines = ["eta_kind,code_kind,gamma,p_hat,std_err,bound_rhs"]
     ok = True
-    for eta in ETA_KINDS:
-        for code in CODE_KINDS:
-            for gamma in cfg.gamma_grid:
-                tail = estimate_tail(table, eta, code, gamma)
-                rhs = bound_rhs(sol, cfg.source, cfg.distortion, eta, code, gamma)
-                ok &= tail.p_hat - 3.0 * tail.std_err <= rhs
-                lines.append(f"{eta},{code},{_g(gamma)},{_g(tail.p_hat)},"
-                             f"{_g(tail.std_err)},{_g(rhs)}")
+    for (eta, code), counts in zip(kinds, above.tolist()):
+        for gamma, count in zip(cfg.gamma_grid, counts):
+            tail = TailEstimate.from_count(gamma, count, cfg.trials)
+            rhs = bound_rhs(sol, cfg.source, cfg.distortion, eta, code, gamma)
+            ok &= tail.p_hat - 3.0 * tail.std_err <= rhs
+            lines.append(f"{eta},{code},{_g(gamma)},{_g(tail.p_hat)},"
+                         f"{_g(tail.std_err)},{_g(rhs)}")
     _write(out_dir, "tails.csv", lines)
     return 0 if ok else 1
 

@@ -330,8 +330,8 @@ def information_density(joint: Kernel, px: FinitePmf, x: SymbolId, y: SymbolId) 
 
 def information_density_table(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
     """log2(rows[i, y] / q[y]) for every row i and column y: -inf where rows is 0,
-    and 0 where q is 0 but rows is not."""
-    with np.errstate(divide="ignore"):
+    0 where q is 0 but rows is not, and +inf where the ratio overflows."""
+    with np.errstate(divide="ignore", over="ignore"):
         return np.where(rows > 0.0, np.log2(np.divide(
             rows, q[None, :], out=np.ones_like(rows), where=q > 0)), -np.inf)
 

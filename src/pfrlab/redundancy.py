@@ -17,6 +17,8 @@ corresponding upper bounds.
 Every trial derives its own seed from (seed, trial index), so its row does
 not depend on how trials are grouped; one single-threaded loop over
 :func:`trial_chunks` drives both the sweep here and the Gray-Wyner trials.
+The sweep's table comes a span at a time (:func:`trial_tables`), so its
+memory does not grow with the trial count.
 
 The trial engine works on spans of trials.  For a span it derives every
 trial's keys in one pass, draws the source symbols at once, and runs the
@@ -65,6 +67,15 @@ class TailEstimate:
     p_hat: float
     std_err: float
     n: int
+
+    @classmethod
+    def from_count(cls, gamma: float, count: int, n: int) -> "TailEstimate":
+        """The estimate from count of n trials at or above gamma.  count / n
+        equals the mean of the trials' 0/1 indicators bit for bit: their float
+        sum is exact."""
+        p_hat = count / n
+        return cls(gamma=float(gamma), p_hat=p_hat,
+                   std_err=math.sqrt(p_hat * (1.0 - p_hat) / n), n=n)
 
 
 @lru_cache(maxsize=16)
@@ -180,24 +191,32 @@ def _per_k(k: np.ndarray, *fns) -> tuple:
     return tuple(np.array([fn(v) for v in distinct.tolist()])[at] for fn in fns)
 
 
+def trial_tables(sol: RdSolution, source: FinitePmf, d: DistortionMatrix,
+                 n: int, seed: Seed):
+    """run_trials' table one span of _SPAN trials at a time: each yield holds
+    the columns of rows span.start..span.stop, so memory does not grow with n."""
+    iota, j_x, j_xd = _tables(sol)
+    targets, q, rate = sol.kernel.pmfs, sol.output_marginal, sol.rate
+    for span, x in trial_chunks(source, seed, n, _SPAN):
+        k, y = select_span(seed, span, targets, x, q)
+        # math.log2, not np.log2: that is 1 ulp off at k = 1621 and would change the CSV
+        log_k, len_plain, len_delta = _per_k(k, math.log2, plain_code_length,
+                                             delta_code_length)
+        jx, jxd = j_x[x], j_xd[x, y]
+        yield dict(trial=np.arange(span.start, span.stop), x=x, y=y, k=k,
+                   len_plain=len_plain, len_delta=len_delta, dist=d.d[x, y],
+                   iota=iota[x, y], j_x=jx, j_xd=jxd, prr_plain=log_k - rate,
+                   psr_plain=log_k - jx, psdr_plain=log_k - jxd,
+                   prr_delta=len_delta - rate, psr_delta=len_delta - jx,
+                   psdr_delta=len_delta - jxd)
+
+
 def run_trials(sol: RdSolution, source: FinitePmf, d: DistortionMatrix,
                n: int, seed: Seed) -> dict:
     """n independent trials of the one-shot scheme; deterministic in (seed, n).
     Returns the trial table: a dict of CSV_HEADER's fields to numpy columns."""
-    iota, j_x, j_xd = _tables(sol)
-    targets, q = sol.kernel.pmfs, sol.output_marginal
-    chunks = [(xs, *select_span(seed, span, targets, xs, q))
-              for span, xs in trial_chunks(source, seed, n, _SPAN)]
-    x, k, y = (np.concatenate(col) for col in zip(*chunks))
-    # math.log2, not np.log2: that is 1 ulp off at k = 1621 and would change the CSV
-    log_k, len_plain, len_delta = _per_k(k, math.log2, plain_code_length,
-                                         delta_code_length)
-    rate, jx, jxd = sol.rate, j_x[x], j_xd[x, y]
-    return dict(trial=np.arange(n), x=x, y=y, k=k, len_plain=len_plain,
-                len_delta=len_delta, dist=d.d[x, y], iota=iota[x, y], j_x=jx,
-                j_xd=jxd, prr_plain=log_k - rate, psr_plain=log_k - jx,
-                psdr_plain=log_k - jxd, prr_delta=len_delta - rate,
-                psr_delta=len_delta - jx, psdr_delta=len_delta - jxd)
+    tables = list(trial_tables(sol, source, d, n, seed))
+    return {c: np.concatenate([t[c] for t in tables]) for c in tables[0]}
 
 
 def _check_kinds(eta_kind: str, code_kind: str) -> None:
@@ -215,9 +234,7 @@ def estimate_tail(table: dict, eta_kind: str, code_kind: str,
     n = vals.size
     if n == 0:
         raise ValueError("the trial table must be nonempty")
-    p_hat = float((vals >= gamma).mean())
-    return TailEstimate(gamma=float(gamma), p_hat=p_hat,
-                        std_err=math.sqrt(p_hat * (1.0 - p_hat) / n), n=n)
+    return TailEstimate.from_count(gamma, int(np.count_nonzero(vals >= gamma)), n)
 
 
 def _exp2(e: float) -> float:
@@ -339,13 +356,15 @@ def summary_stats(table: dict, sol: RdSolution) -> TrialSummary:
 
 
 def _write_table(table: dict, fh) -> None:
-    """Write a trial table of 64-bit columns as CSV: a header of its keys, then
+    """Write a trial table of 64-bit columns as CSV: a header of its keys where
+    fh is at offset 0, so tables of consecutive spans append to one file, then
     a line per row, %d for integer columns and %.9g for floats.  _SPAN rows at
     a time, each column's distinct values are formatted once and gathered;
     values are told apart by their bits, so -0.0 stays -0."""
     cols = list(table.values())
     specs = ["%d" if c.dtype.kind in "iu" else "%.9g" for c in cols]
-    fh.write(",".join(table) + "\n")
+    if fh.tell() == 0:
+        fh.write(",".join(table) + "\n")
     for c in range(0, cols[0].size, _SPAN):
         fields = []
         for col, spec in zip(cols, specs):
@@ -358,5 +377,6 @@ def _write_table(table: dict, fh) -> None:
 
 
 def records_to_csv(table: dict, fh) -> None:
-    """Write run_trials' table; floats carry 9 significant digits."""
+    """Write run_trials' table, or each of trial_tables' in turn to one fh;
+    floats carry 9 significant digits."""
     _write_table(table, fh)

@@ -1,8 +1,11 @@
 import copy
+import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +14,9 @@ from hypothesis import strategies as st
 
 from pfrlab import cli
 from pfrlab.cli import MAX_TRIALS, ConfigError, load_config, main
+from pfrlab.rd import solve_at_distortion
+from pfrlab.redundancy import (CODE_KINDS, ETA_KINDS, TailEstimate, estimate_tail,
+                               records_to_csv, run_trials)
 from conftest import binary_entropy
 
 SEED_HEX = "ab" * 32
@@ -136,6 +142,59 @@ class TestRedundancySweep:
         for r in rows:
             assert float(r[3]) in (0.0, 1.0)
             assert float(r[4]) == 0.0
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
+    def test_streamed_sweep_equals_whole_table(self, tmp_path, monkeypatch, n):
+        # the sweep writes and counts a span of 1024 trials at a time; its
+        # bytes and tail estimates are those of the whole table, with gammas
+        # at column values (where >= decides) and far outside them
+        cfg = load_config(write_config(tmp_path, bsc_config(trials=n)),
+                          "redundancy-sweep")
+        sol = solve_at_distortion(cfg.source, cfg.distortion, cfg.target_D)
+        table = run_trials(sol, cfg.source, cfg.distortion, n, cfg.seed)
+        kinds = [(eta, code) for eta in ETA_KINDS for code in CODE_KINDS]
+        picks = {v for eta, code in kinds
+                 for v in np.unique(table[f"{eta.lower()}_{code}"])[[0, -1]].tolist()}
+        grid = ["-1e308", "-2", "0", "2", "1e308"] + [repr(v) for v in sorted(picks)]
+        made = []
+
+        def from_count(*args):
+            made.append(TailEstimate.from_count(*args))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "TailEstimate", SimpleNamespace(from_count=from_count))
+        path = write_config(tmp_path, bsc_config(trials=n, gamma_grid=grid))
+        assert main(["redundancy-sweep", "--config", path, "--out",
+                     str(tmp_path)]) in (0, 1)
+        buf = io.StringIO()
+        records_to_csv(table, buf)
+        assert (tmp_path / "trials.csv").read_text() == buf.getvalue()
+        _, rows = read_rows(tmp_path / "tails.csv")
+        expected = [(eta, code, float(g)) for eta, code in kinds for g in grid]
+        assert len(made) == len(rows) == len(expected)
+        for tail, row, (eta, code, gamma) in zip(made, rows, expected):
+            ref = estimate_tail(table, eta, code, gamma)
+            mean = float((table[f"{eta.lower()}_{code}"] >= gamma).mean())
+            assert tail == ref and tail.p_hat.hex() == ref.p_hat.hex() == mean.hex()
+            assert tail.std_err.hex() == ref.std_err.hex()
+            assert row[3:5] == [format(ref.p_hat, ".9g"), format(ref.std_err, ".9g")]
+
+    def test_sweep_memory_does_not_grow_with_trials(self, tmp_path):
+        # a sweep that kept its whole table would peak about 4 times higher at
+        # 20,000 trials than at 2,000; streamed, one span is live at a time
+        demo = str(DEMOS / "bsc_sweep.json")
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                assert main(["redundancy-sweep", "--config", demo, "--out",
+                             str(tmp_path), "--trials", str(trials)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # imports and first-call set-up
+        assert peak(20_000) <= 1.25 * peak(2_000)
 
     def test_missing_gamma_grid_exit_2(self, tmp_path, capsys):
         payload = bsc_config()
@@ -347,18 +406,27 @@ class TestExitCodes:
         assert "trials" in capsys.readouterr().err
 
     def test_trials_above_ceiling_exit_2(self, tmp_path, capsys, monkeypatch):
-        # a run keeps about 128 B per trial; 10^30 trials would grow until killed
-        def no_run(*args):
-            raise AssertionError("a rejected trial count started a run")
+        # the sweep streams, but gray-wyner keeps its table, and 10^30 trials
+        # would run until killed
+        started, run = [], cli.trial_tables
 
-        monkeypatch.setattr(cli, "run_trials", no_run)
+        def counted(*args):
+            started.append(args[3])
+            return run(*args)
+
+        monkeypatch.setattr(cli, "trial_tables", counted)
         for trials, flag in ((10 ** 30, []), (10, ["--trials", "100000000000"]),
                              (MAX_TRIALS + 1, []), (10, ["--trials", "0"])):
             cfg = write_config(tmp_path, bsc_config(trials=trials))
             assert main(["redundancy-sweep", "--config", cfg, "--out",
                          str(tmp_path), *flag]) == 2
             assert "'trials'" in capsys.readouterr().err
+        assert started == []
+        # the control: an accepted trial count does start the patched run
         cfg = write_config(tmp_path, bsc_config(trials=10))
+        assert main(["redundancy-sweep", "--config", cfg, "--out",
+                     str(tmp_path)]) == 0
+        assert started == [10]
         assert load_config(cfg, "redundancy-sweep",
                            trials_override=MAX_TRIALS).trials == MAX_TRIALS
         with pytest.raises(ConfigError, match="trials"):
@@ -459,6 +527,7 @@ class TestExitCodeFuzz:
     def test_every_exit_is_documented(self, case):
         assert run_mutated(*case) in {0, 1, 2, 3, 4}
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_unresortable_gw_model_exit_2(self, capsys):
         assert run_mutated("gw_common_bit.json", 50, TINY_U_ROW) == 2
         assert "'gray_wyner'" in capsys.readouterr().err

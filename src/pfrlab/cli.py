@@ -24,7 +24,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .codebook import arrival_stream, derive_subseed
+from .codebook import arrival_stream, derive_subseed, stream_keys
 from .errors import NotConverged, PfrlabError, RoundTripMismatch, TargetOutOfRange
 from .gray_wyner import GwModel, gw_decode, gw_encode, gw_records_to_csv, gw_run_trials
 from .pfr import (_density_ratio, dominance_parameter, geometric_parameter_exact,
@@ -261,8 +261,9 @@ def cmd_verify_pfr(cfg: ExperimentConfig, out_dir: str) -> int:
         return pfr_select(target, proposal, stream, **kwargs)
 
     # the batched engine; the replay checks below rerun trials with pfr_select
-    parts = [select_span(seed, span, [target], np.zeros(len(span), dtype=np.int64),
-                         proposal) for span in chunk_spans(n, _SPAN)]
+    parts = [select_span(stream_keys(seed, span, "codebook"), [target],
+                         np.zeros(len(span), dtype=np.int64), proposal)
+             for span in chunk_spans(n, _SPAN)]
     ks, ys = (np.concatenate(col) for col in zip(*parts))
     m = len(target)
     checks = []

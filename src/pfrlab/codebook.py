@@ -15,18 +15,22 @@ of most times.  CodebookStream produces one group per refill;
 arithmetic.  Its reads are whole SHA-256 blocks of 4 words, so a round may
 stop mid-group: each stream then carries the group's base time and its
 partial sum, and the next round goes on with points 5-8 of the group.
+:func:`scan_rounds` runs such rounds for a span of streams; a stream whose
+drawn gaps hold a zero is replayed from there on by a CodebookStream, so
+this module alone knows how a zero gap is regenerated.
 
 Nothing is ever materialized: points are produced on demand and discarded
 by the caller once a stopping rule fires.
 """
 
 import struct
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
-from .prob import (FinitePmf, Seed, SymbolId, _encode_label, _kdf, _kdf_many,
-                   block_words, key_words, unit_interval, unit_interval_oc)
+from .prob import (FinitePmf, RngState, Seed, SymbolId, _encode_label, _kdf,
+                   _kdf_many, block_words, key_words, unit_interval, unit_interval_oc)
 
 _BLOCK = 8
 
@@ -76,8 +80,7 @@ def draw_points(gap_keys, mark_keys, cum: np.ndarray, start: int, n: int,
     next_marked_point yields, bit for bit, unless the row's zero flag is set,
     and the new clock stands at point start + n when n is a multiple of 4.  A
     zero flag means a gap word mapped to a zero gap; the stream regenerates
-    such a gap from later words, so that row must be replayed by a
-    CodebookStream.
+    such a gap from later words, so :func:`scan_rounds` replays that row.
     """
     first, count = start // 4, -(-n // 4)  # 4 words per SHA-256 block
     gaps = -np.log(unit_interval_oc(key_words(gap_keys, first, count)))
@@ -101,6 +104,32 @@ def draw_points(gap_keys, mark_keys, cum: np.ndarray, start: int, n: int,
     return times, marks, ~gaps.all(axis=1), np.array(clock)
 
 
+def scan_rounds(keys, law: FinitePmf, n: int, step) -> None:
+    """Rounds of the next n points of each live stream i of a span (gap key
+    keys[0][i], mark key keys[1][i], marks from law) until step(live, start,
+    times, marks) says it needs no more.  Every row step sees is exact: a row
+    whose round holds a zero gap is replayed by a CodebookStream from point
+    start on, for that round and every later one."""
+    gap_keys, mark_keys = keys
+    cum, replays = law.cumulative(), {}
+    live, clock, start = np.arange(len(gap_keys)), np.zeros((2, len(gap_keys))), 0
+    while live.size:
+        times, marks, zero, clock[:, live] = draw_points(
+            [gap_keys[i] for i in live], [mark_keys[i] for i in live], cum, start, n,
+            clock[:, live])
+        for i in live[zero]:
+            if i not in replays:
+                replays[i] = CodebookStream(RngState(gap_keys[i]),
+                                            RngState(mark_keys[i]), law)
+                for _ in islice(replays[i], start):
+                    pass
+        if replays:
+            for row in np.flatnonzero(np.isin(live, list(replays))):
+                _, marks[row], times[row] = zip(*islice(replays[live[row]], n))
+        live = live[step(live, start, times, marks)]
+        start += n
+
+
 def nth_marks(mark_keys, ks: np.ndarray, cum: np.ndarray) -> np.ndarray:
     """The mark of point ks[i] of stream i: mark word ks[i] - 1, whatever the gaps."""
     words = block_words(mark_keys, ((ks - 1) // 4).tolist())
@@ -111,18 +140,18 @@ def nth_marks(mark_keys, ks: np.ndarray, cum: np.ndarray) -> np.ndarray:
 class CodebookStream:
     """Marked Poisson process with rate 1 and marks i.i.d. mark_law.
 
-    Single-owner mutable state (cursor); distinct streams are independent of
-    each other.  Use :func:`arrival_stream` to construct one.
+    gaps and marks are the two uniform streams its gap and mark words come
+    from.  Single-owner mutable state (cursor); distinct streams are
+    independent of each other.  :func:`arrival_stream` builds one from a seed
+    and label.
     """
 
-    def __init__(self, seed: Seed, label: str, mark_law: FinitePmf):
-        self.seed = seed
-        self.label = label
+    def __init__(self, gaps: RngState, marks: RngState, mark_law: FinitePmf):
         self.mark_law = mark_law
         self.cursor = 0
         self._time = 0.0
-        self._gaps_rng = seed.stream(label, "gaps")
-        self._marks_rng = seed.stream(label, "marks")
+        self._gaps_rng = gaps
+        self._marks_rng = marks
         self._cum = mark_law.cumulative()
         self._times = np.empty(0)
         self._marks = np.empty(0, dtype=np.int64)
@@ -169,4 +198,5 @@ class CodebookStream:
 
 def arrival_stream(seed: Seed, label: str, mark_law: FinitePmf) -> CodebookStream:
     """Fresh stream on the labeled substream of seed; replay-exact."""
-    return CodebookStream(seed, label, mark_law)
+    return CodebookStream(seed.stream(label, "gaps"), seed.stream(label, "marks"),
+                          mark_law)

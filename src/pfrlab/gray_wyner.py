@@ -14,8 +14,9 @@ the identical selections, so decoding is exact.
 gw_encode and gw_decode run one trial, re-sorting through a heap.  Batched,
 gw_run_trials encodes a chunk of trials to the same results: the common index
 on redundancy.select_span, each private one on rounds of base points scanned
-in re-sorted order.  It then decodes the chunk with the same stream keys, as
-an independent replay with its own rounds and stop rule, and raises
+in re-sorted order, both on codebook.scan_rounds, which replays a stream
+whose drawn gaps hold a zero.  It then decodes the chunk with the same stream
+keys, as an independent replay with its own rounds and stop rule, and raises
 RoundTripMismatch at the first trial whose decode differs.  A chunk holds
 _SPAN trials, or fewer where they would pass 2^18 points at the model's
 longest expected private scan.  The gray-wyner command also replays its
@@ -23,20 +24,20 @@ first 32 trials through gw_encode and gw_decode as a check."""
 
 import heapq
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .bitcodes import plain_code_length
-from .codebook import (CodebookStream, MarkedPoint, arrival_stream, derive_subseed,
-                       nth_marks, stream_keys)
+from .codebook import (CodebookStream, MarkedPoint, arrival_stream, nth_marks,
+                       scan_rounds, stream_keys)
 from .errors import RoundTripMismatch, UnsupportedPoint
 from .pfr import pfr_scan_rows, pfr_select
 from .prob import (FinitePmf, Kernel, Seed, SymbolId, information_density_table,
                    mutual_information, weighted_kl)
-from .redundancy import (_SPAN, _per_k, _round_points, _write_table, chunk_spans,
-                         scan_rounds, select_span, trial_chunks)
+from .redundancy import (_SPAN, _per_k, _round_points, _write_table, select_span,
+                         trial_chunks)
 
 GW_CSV_HEADER = "trial,x1,x2,u,y1,y2,k0,k1,k2,len0,len1,len2"
 
@@ -239,9 +240,9 @@ class GwSide:
         return ResortedStream(arrival_stream(seed, self.label, self.p_y),
                               self.scale[u].tolist(), float(self.r[u]), self.cond_pmfs[u])
 
-    def scan_span(self, keys, us, fallback, xs=None, ks=None) -> tuple:
+    def scan_span(self, keys, us, xs=None, ks=None) -> tuple:
         """(k, y) of gw_encode's selection on this side for rows (xs, us), or of
-        gw_decode's point ks[i] for rows (us, ks); a zero gap sends row i to fallback.
+        gw_decode's point ks[i] for rows (us, ks).
 
         Rounds add base points to each live row, kept in (tau, base index)
         order, tau = t * scale[u][mark] (inf: never released).  Encoding runs
@@ -275,8 +276,7 @@ class GwSide:
             return ~done
 
         n = bound.max() if ks is None else np.mean(r * ks)
-        scan_rounds(keys, self.p_y.cumulative(), _round_points(float(n), len(us)), step,
-                    fallback)
+        scan_rounds(keys, self.p_y, _round_points(float(n), len(us)), step)
         return k, y
 
 
@@ -321,27 +321,21 @@ def gw_dominance_params(model: GwModel, x1: SymbolId, x2: SymbolId,
 
 def gw_run_trials(model: GwModel, n: int, seed: Seed) -> dict:
     """n trials of gw_encode(model, x1, x2, derive_subseed(seed, t, "gw")), with
-    source pairs drawn from the model, a chunk at once; zero gaps rerun a trial.
-    Each chunk is decoded again from its keys; RoundTripMismatch names the first
-    trial that decodes to another (u, y1, y2).
+    source pairs drawn from the model, a chunk at once.  Each chunk is decoded
+    again from its keys; RoundTripMismatch names the first trial that decodes to
+    another (u, y1, y2).
     Returns the trial table, a numpy column per field of GW_CSV_HEADER."""
     # a pair of probability 0 is never drawn; p_u stands in for its u-target
     u_rows = [row if w > 0 else model.p_u
               for row, w in zip(model.u_kernel.pmfs, model.source_pmf.probs)]
     parts = []
     for span, pairs in trial_chunks(model.source_pmf, seed, n, model.chunk_width):
-        keys, zero = stream_keys(seed, span, "gw", "gw-u", "gw-y1", "gw-y2"), set()
-        k0, u = select_span(seed, span, u_rows, pairs, model.p_u,
-                            role="gw", label="gw-u", keys=keys[:2])
+        keys = stream_keys(seed, span, "gw", "gw-u", "gw-y1", "gw-y2")
+        k0, u = select_span(keys[:2], u_rows, pairs, model.p_u)
         x1, x2 = np.divmod(pairs, model.n2)
-        (k1, y1), (k2, y2) = (side.scan_span(kk, u, zero.add, xs=x) for side, kk, x
+        (k1, y1), (k2, y2) = (side.scan_span(kk, u, xs=x) for side, kk, x
                               in zip(model.sides, (keys[2:4], keys[4:]), (x1, x2)))
-        for i in zero:
-            res = gw_encode(model, int(x1[i]), int(x2[i]),
-                            derive_subseed(seed, span[i], "gw"))
-            k0[i], k1[i], k2[i], u[i], y1[i], y2[i] = astuple(res)
-        bad = (gw_decode_chunk(model, seed, span, keys, (k0, k1, k2))
-               != (u, y1, y2)).any(axis=0)
+        bad = (gw_decode_chunk(model, keys, (k0, k1, k2)) != (u, y1, y2)).any(axis=0)
         if bad.any():
             raise RoundTripMismatch(span[bad.argmax()])
         parts.append((x1, x2, u, y1, y2, k0, k1, k2))
@@ -351,27 +345,13 @@ def gw_run_trials(model: GwModel, n: int, seed: Seed) -> dict:
                 k2=k2, len0=len0, len1=len1, len2=len2)
 
 
-def gw_decode_chunk(model: GwModel, seed: Seed, span, keys, ks) -> np.ndarray:
-    """(u, y1, y2) rows of gw_decode(model, *ks[:, i], derive_subseed(seed, span[i],
-    "gw")) for each trial i of span, keys its stream_keys for "gw-u", "gw-y1" and
-    "gw-y2"; ks holds the k0, k1 and k2 columns.  A zero gap reruns a trial."""
-    zero = set()
+def gw_decode_chunk(model: GwModel, keys, ks) -> np.ndarray:
+    """(u, y1, y2) rows of gw_decode(model, *ks[:, i], derive_subseed(seed, t, "gw"))
+    for each trial t of a span, keys its stream_keys(seed, span, "gw", "gw-u",
+    "gw-y1", "gw-y2"); ks holds the k0, k1 and k2 columns."""
     u = nth_marks(keys[1], ks[0], model.p_u.cumulative())
-    out = np.stack([u, *(side.scan_span(kk, u, zero.add, ks=k)[1] for side, kk, k
-                         in zip(model.sides, (keys[2:4], keys[4:]), ks[1:]))])
-    for i in zero:
-        out[:, i] = gw_decode(model, *(int(k[i]) for k in ks),
-                              derive_subseed(seed, span[i], "gw"))
-    return out
-
-
-def gw_decode_trials(model: GwModel, seed: Seed, ks: np.ndarray) -> np.ndarray:
-    """gw_decode_chunk over the rows of the (n, 3) array ks, trial t at row t."""
-    return np.concatenate([
-        gw_decode_chunk(model, seed, span, stream_keys(seed, span, "gw", "gw-u",
-                                                       "gw-y1", "gw-y2"),
-                        ks[span.start:span.stop].T).T
-        for span in chunk_spans(len(ks), model.chunk_width)])
+    return np.stack([u, *(side.scan_span(kk, u, ks=k)[1] for side, kk, k
+                          in zip(model.sides, (keys[2:4], keys[4:]), ks[1:]))])
 
 
 def gw_records_to_csv(table: dict, fh) -> None:

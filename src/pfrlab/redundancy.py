@@ -23,11 +23,11 @@ memory does not grow with the trial count.
 The trial engine works on spans of trials.  For a span it derives every
 trial's keys in one pass, draws the source symbols at once, and runs the
 selections side by side (:func:`select_span`): each round of
-:func:`scan_rounds` draws the next points of every unfinished scan and
+codebook.scan_rounds draws the next points of every unfinished scan and
 applies the stop rule to all of them with pfr_scan_rows.  The results equal
 those of one pfr_select per trial, bit for bit, whatever the span and round
-sizes; the engine falls back to pfr_select for a trial whose drawn gaps hold
-a zero.  The sweep selects over spans of _SPAN = 1024 trials, where rounds
+sizes; scan_rounds itself replays a stream whose drawn gaps hold a zero.
+The sweep selects over spans of _SPAN = 1024 trials, where rounds
 of one 8-point time group, or one 4-point SHA-256 block at f_max <= 3, are
 cheap enough that each scan draws just the groups or blocks its stop rule
 examines (:func:`_round_points`).
@@ -40,10 +40,9 @@ from functools import lru_cache
 import numpy as np
 
 from .bitcodes import delta_code_length, plain_code_length
-from .codebook import (_BLOCK, arrival_stream, derive_subseed, draw_points,
-                        span_keys, stream_keys)
+from .codebook import _BLOCK, scan_rounds, span_keys, stream_keys
 from .errors import UnsupportedEta
-from .pfr import _ratio_rows, pfr_scan_rows, pfr_select
+from .pfr import _ratio_rows, pfr_scan_rows
 from .prob import (DistortionMatrix, FinitePmf, Seed, entropy,
                    information_density_table, sample_pmf_keys)
 from .rd import RdSolution, tilted_information
@@ -133,37 +132,19 @@ def _round_points(f_max: float, rows: int) -> int:
     return _BLOCK * max(1, round(min(size / _BLOCK, cap)))
 
 
-def scan_rounds(keys, cum: np.ndarray, n: int, step, fallback) -> None:
-    """Rounds of the next n points of each live stream i of a span (gap key
-    keys[0][i], mark key keys[1][i]) until step(live, start, times, marks) says
-    it needs no more; a zero gap sends it to fallback(i), the streaming path."""
-    gap_keys, mark_keys = keys
-    live, clock, start = np.arange(len(gap_keys)), np.zeros((2, len(gap_keys))), 0
-    while live.size:
-        times, marks, zero, clock[:, live] = draw_points(
-            [gap_keys[i] for i in live], [mark_keys[i] for i in live], cum, start, n,
-            clock[:, live])
-        more = step(live, start, times, marks)
-        for i in live[zero]:
-            fallback(i)
-        live = live[more & ~zero]
-        start += n
-
-
-def select_span(seed: Seed, span, targets, xs, proposal: FinitePmf,
-                role: str = "codebook", label: str = "codebook", keys=None):
+def select_span(keys, targets, xs, proposal: FinitePmf):
     """(k, y) arrays of pfr_select(targets[xs[i]], proposal, stream i), batched.
 
-    Stream i is arrival_stream(derive_subseed(seed, span[i], role), label,
-    proposal), keys its stream_keys if given.  The results equal the streaming
+    Stream i has gap key keys[0][i] and mark key keys[1][i], as stream_keys
+    gives them, and marks from proposal.  The results equal the streaming
     scan's, bit for bit, whatever the span.  Rounds follow _round_points at the
     span's largest f_max, so a round's arrays hold at most 2^18 points; the
     other working arrays grow with the span.
     """
     f, f_max = _ratio_rows(tuple(targets), proposal)
-    k, y = np.zeros((2, len(span)), dtype=np.int64)
+    k, y = np.zeros((2, len(xs)), dtype=np.int64)
     scale = f_max[xs]
-    best = np.full(len(span), math.inf)
+    best = np.full(len(xs), math.inf)
 
     def step(live, start, times, marks):
         stop, col, score = pfr_scan_rows(f[xs[live, None], marks], times,
@@ -175,13 +156,7 @@ def select_span(seed: Seed, span, targets, xs, proposal: FinitePmf,
         y[won] = marks[better, col[better]]
         return stop == times.shape[1]
 
-    def fallback(i):
-        res = pfr_select(targets[xs[i]], proposal, arrival_stream(
-            derive_subseed(seed, span[i], role), label, proposal))
-        k[i], y[i] = res.k, res.y
-
-    scan_rounds(keys or stream_keys(seed, span, role, label), proposal.cumulative(),
-                _round_points(float(scale.max()), len(span)), step, fallback)
+    scan_rounds(keys, proposal, _round_points(float(scale.max()), len(xs)), step)
     return k, y
 
 
@@ -198,7 +173,7 @@ def trial_tables(sol: RdSolution, source: FinitePmf, d: DistortionMatrix,
     iota, j_x, j_xd = _tables(sol)
     targets, q, rate = sol.kernel.pmfs, sol.output_marginal, sol.rate
     for span, x in trial_chunks(source, seed, n, _SPAN):
-        k, y = select_span(seed, span, targets, x, q)
+        k, y = select_span(stream_keys(seed, span, "codebook"), targets, x, q)
         # math.log2, not np.log2: that is 1 ulp off at k = 1621 and would change the CSV
         log_k, len_plain, len_delta = _per_k(k, math.log2, plain_code_length,
                                              delta_code_length)

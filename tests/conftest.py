@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from pfrlab import DistortionMatrix, FinitePmf, prob, solve_at_distortion
+from pfrlab import DistortionMatrix, FinitePmf, codebook, prob, solve_at_distortion
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -31,6 +31,28 @@ def patch_first_words(monkeypatch, words):
             digest=lambda: words[data].to_bytes(8, "big") + h.digest()[8:])
 
     monkeypatch.setattr(prob, "hashlib", SimpleNamespace(sha256=sha256))
+
+
+def record_replays(monkeypatch):
+    """A list that gets an entry for each CodebookStream built from now on: the
+    start of the round codebook.draw_points drew last, None before any.  So
+    the streams scan_rounds builds to replay a zero gap show as the starts of
+    the rounds they replay from."""
+    built, last = [], [None]
+    draw = codebook.draw_points
+
+    def draw_points(gap_keys, mark_keys, cum, start, n, clock):
+        last[0] = start
+        return draw(gap_keys, mark_keys, cum, start, n, clock)
+
+    class Recorded(codebook.CodebookStream):
+        def __init__(self, *args):
+            built.append(last[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(codebook, "draw_points", draw_points)
+    monkeypatch.setattr(codebook, "CodebookStream", Recorded)
+    return built
 
 
 def uniform_hamming(m):

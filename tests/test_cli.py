@@ -333,9 +333,9 @@ class TestGrayWyner:
         from pfrlab import gray_wyner
         decode = gray_wyner.gw_decode_chunk
 
-        def off_by_one(model, seed, span, keys, ks):
-            out = decode(model, seed, span, keys, ks)
-            out[2, len(span) - 1] += 1
+        def off_by_one(model, keys, ks):
+            out = decode(model, keys, ks)
+            out[2, -1] += 1
             return out
 
         monkeypatch.setattr(gray_wyner, "gw_decode_chunk", off_by_one)

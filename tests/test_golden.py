@@ -38,11 +38,9 @@ def hamming(m, distortion):
 
 
 def squared_error5():
-    """Non-uniform five-level source under squared-error distortion."""
-    return {"source": ["0.1", "0.3", "0.2", "0.25", "0.15"],
-            "distortion": [[str((i - j) ** 2) for j in range(5)] for i in range(5)],
-            "target_D": "0.5", "seed": "beef" * 16,
-            "gamma_grid": [str(g) for g in range(-2, 11)]}
+    """Non-uniform five-level source under squared-error distortion: the
+    shipped demo config."""
+    return demo("sqerr5_sweep.json")
 
 
 # case -> (subcommand, config, exit code, {csv name: SHA-256})

@@ -12,9 +12,10 @@ from pfrlab import (FinitePmf, GwModel, Kernel, ResortedStream, Seed,
                     resort_tables, sample_pmf)
 from pfrlab import gray_wyner, redundancy
 from pfrlab.codebook import stream_keys
-from pfrlab.gray_wyner import GW_CSV_HEADER, gw_decode_trials
+from pfrlab.gray_wyner import GW_CSV_HEADER, gw_decode_chunk
+from pfrlab.redundancy import chunk_spans
 from conftest import (PROPERTY, assert_same_table, group_rows, iota_reference,
-                      patch_first_words, rows)
+                      patch_first_words, record_replays, rows)
 
 SEED = Seed.from_int(99)
 
@@ -274,9 +275,20 @@ def sparse_model(model_seed, n1, n2, nu, ny1, ny2, dead_u):
                    y2_kernel=kern(n2 * nu, ny2, np.arange(n2 * nu) % nu % ny2))
 
 
+def decode_chunks(model, seed, ks, width):
+    """gw_decode_chunk over spans of width trials of the (n, 3) array ks, trial
+    t at row t; the (u, y1, y2) rows, a row per trial."""
+    return np.concatenate([
+        gw_decode_chunk(model, stream_keys(seed, span, "gw", "gw-u", "gw-y1", "gw-y2"),
+                        ks[span.start:span.stop].T).T
+        for span in chunk_spans(len(ks), width)])
+
+
 def assert_batched_equals_streaming(model, n, seed):
     recs = gw_run_trials(model, n, seed)
-    decoded = gw_decode_trials(model, seed, np.array(rows(recs, "k0", "k1", "k2")))
+    ks = np.array(rows(recs, "k0", "k1", "k2"))
+    decoded = gw_decode_chunk(model, stream_keys(seed, range(n), "gw", "gw-u", "gw-y1",
+                                                 "gw-y2"), ks.T).T
     for (t, x1, x2, k0, k1, k2, u, y1, y2), dec in zip(
             rows(recs, "trial", "x1", "x2", "k0", "k1", "k2", "u", "y1", "y2"),
             decoded.tolist()):
@@ -316,39 +328,43 @@ class TestBatchedEqualsStreaming:
         recs = assert_batched_equals_streaming(model, 150, SEED)
         assert max(recs["k1"].max(), recs["k2"].max()) > 8  # scans past one round
 
-    def test_zero_gap_falls_back_to_stream(self, monkeypatch):
+    def test_zero_gap_replays_the_stream(self, monkeypatch):
         # gap word 2^64 - 1 gives a zero gap, which the stream regenerates;
         # force one at block 0 of one trial's gw-u and another's gw-y1 stream
         seed, model, n = Seed.from_int(31), random_model(9), 40
         blocks = {stream_keys(seed, [t], "gw", label)[0][0] + bytes(8): 2**64 - 1
                   for t, label in ((7, "gw-u"), (12, "gw-y1"))}
         patch_first_words(monkeypatch, blocks)
-        calls = Counter()
-
-        def counted(mod, name):
-            orig = getattr(mod, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return orig(*args, **kwargs)
-
-            monkeypatch.setattr(mod, name, wrapper)
-
-        counted(redundancy, "pfr_select")
-        counted(gray_wyner, "gw_encode")
-        counted(gray_wyner, "gw_decode")
+        replays = record_replays(monkeypatch)
         recs = gw_run_trials(model, n, seed)
+        # the gw-u scan of trial 7 and the gw-y1 encode and decode scans of
+        # trial 12 each replay their stream; decoding u reads mark words only,
+        # so the gw-u gap has no effect there
+        assert replays == [0, 0, 0]
         ks = np.array(rows(recs, "k0", "k1", "k2"))
-        decoded = gw_decode_trials(model, seed, ks).tolist()
-        # the gw-u scan of trial 7 reruns on its stream; trial 12 reruns whole,
-        # and is decoded by gw_decode both in gw_run_trials' own check and in
-        # gw_decode_trials.  Decoding u reads mark words only, so the gw-u gap
-        # has no effect there
-        assert calls == {"pfr_select": 1, "gw_encode": 1, "gw_decode": 2}
-        monkeypatch.undo()
-        patch_first_words(monkeypatch, blocks)
+        decoded = decode_chunks(model, seed, ks, n).tolist()
+        assert replays == [0, 0, 0, 0]
         assert_batched_equals_streaming(model, n, seed)
         assert [tuple(d) for d in decoded] == rows(recs, "u", "y1", "y2")
+
+    def test_zero_gap_in_a_later_round_of_a_decode_scan(self, monkeypatch):
+        # a zero gap at point 13 (block 3) of trial 30's gw-y1 stream is found
+        # in the decode scan's round from point 9, which replays from there
+        # and reads another y1 at the same k1 than without it
+        seed, n, victim = Seed.from_int(31), 40, 30
+        model = sparse_model(5, 2, 2, 2, 64, 64, dead_u=9)
+        recs = gw_run_trials(model, n, seed)
+        ks = np.array(rows(recs, "k0", "k1", "k2"))
+        keys = stream_keys(seed, range(n), "gw", "gw-u", "gw-y1", "gw-y2")
+        patch_first_words(monkeypatch, {keys[2][victim] + (3).to_bytes(8, "big"):
+                                        2**64 - 1})
+        replays = record_replays(monkeypatch)
+        decoded = [tuple(d) for d in gw_decode_chunk(model, keys, ks.T).T.tolist()]
+        assert replays == [8]
+        assert decoded == [gw_decode(model, *k, derive_subseed(seed, t, "gw"))
+                           for t, k in enumerate(ks.tolist())]
+        want = rows(recs, "u", "y1", "y2")
+        assert [t for t in range(n) if decoded[t] != want[t]] == [victim]
 
 
 def information_loops(model):
@@ -428,7 +444,7 @@ class TestChunkWidth:
         for width in (1, 7, 128, 1024):
             assert_same_table(gw_run_trials(with_width(make(), width), n, SEED), want)
             ks = np.array(rows(want, "k0", "k1", "k2"))
-            assert gw_decode_trials(with_width(make(), width), SEED, ks).tolist() == [
+            assert decode_chunks(make(), SEED, ks, width).tolist() == [
                 list(r) for r in rows(want, "u", "y1", "y2")]
 
     def test_long_private_scans_get_fewer_rows(self, monkeypatch):

@@ -11,10 +11,11 @@ from pfrlab import (AbsoluteContinuityViolated, FinitePmf, GwModel, Kernel, Seed
                     expected_log_k_bound, geometric_parameter_exact,
                     kl_divergence, mutual_information, pfr_select,
                     solve_at_distortion)
-from pfrlab import prob, redundancy
+from pfrlab import codebook, prob
 from pfrlab.codebook import draw_points, stream_keys
 from pfrlab.redundancy import _SPAN, _round_points, select_span
-from conftest import PROPERTY, binary_entropy, patch_first_words, uniform_hamming
+from conftest import (PROPERTY, binary_entropy, patch_first_words, record_replays,
+                      uniform_hamming)
 
 # a span narrower than the sweep's: more rounds per scan, spans cross it
 NARROW = 128
@@ -101,7 +102,7 @@ class TestSelection:
         with pytest.raises(ValueError, match="overflows"):
             pfr_select(TARGET, tiny, arrival_stream(SEED, "cb", tiny))
         with pytest.raises(ValueError, match="overflows"):
-            select_span(SEED, range(3), [TARGET], np.zeros(3, dtype=np.int64), tiny)
+            batched(SEED, range(3), [TARGET], np.zeros(3, dtype=np.int64), tiny)
 
     def test_mark_law_mismatch_rejected(self):
         stream = arrival_stream(SEED, "cb", FinitePmf(np.array([0.3, 0.7])))
@@ -246,6 +247,11 @@ def streaming(seed, trials, targets, xs, proposal):
     return out
 
 
+def batched(seed, trials, targets, xs, proposal):
+    """select_span over the trials' codebook streams."""
+    return select_span(stream_keys(seed, trials, "codebook"), targets, xs, proposal)
+
+
 class TestBatchedScanProperty:
     @PROPERTY
     @given(pair=pmf_pairs(), seed=st.integers(min_value=0, max_value=2**64),
@@ -260,7 +266,7 @@ class TestBatchedScanProperty:
         targets = [target, sharp]
         xs = np.random.default_rng(pick).integers(0, 2, size=n)
         trials = range(first, first + n)
-        ks, ys = select_span(Seed.from_int(seed), trials, targets, xs, proposal)
+        ks, ys = batched(Seed.from_int(seed), trials, targets, xs, proposal)
         assert list(zip(ks.tolist(), ys.tolist())) == streaming(
             Seed.from_int(seed), trials, targets, xs, proposal)
 
@@ -279,7 +285,7 @@ class TestBatchedScanProperty:
         xs = np.zeros(n, dtype=np.int64)
         xs[np.random.default_rng(pick).choice(n, size=16, replace=False)] = 1
         trials = range(first, first + n)
-        ks, ys = select_span(Seed.from_int(seed), trials, targets, xs, proposal)
+        ks, ys = batched(Seed.from_int(seed), trials, targets, xs, proposal)
         assert list(zip(ks.tolist(), ys.tolist())) == streaming(
             Seed.from_int(seed), trials, targets, xs, proposal)
 
@@ -307,13 +313,13 @@ class TestBatchedScanProperty:
             round_points.append(len(gap_keys) * n)
             return draw_points(gap_keys, mark_keys, cum, start, n, clock)
 
-        monkeypatch.setattr(redundancy, "draw_points", counted)
+        monkeypatch.setattr(codebook, "draw_points", counted)
         seed, target = Seed.from_int(5), FinitePmf(np.array([0.5, 0.5]))
         for width, q0 in ((NARROW, 1e-4), (_SPAN, 1e-3)):
             round_points.clear()
             trials, xs = range(width), np.zeros(width, dtype=np.int64)
             proposal = FinitePmf(np.array([q0, 1.0 - q0]))
-            ks, ys = select_span(seed, trials, [target], xs, proposal)
+            ks, ys = batched(seed, trials, [target], xs, proposal)
             assert len(round_points) > 1 and max(round_points) <= 2 ** 18
             every = width // NARROW
             assert list(zip(ks[::every].tolist(), ys[::every].tolist())) == streaming(
@@ -335,8 +341,8 @@ class TestBatchedScanProperty:
             drawn.append(len(gap_keys) * n)
             return draw_points(gap_keys, mark_keys, cum, start, n, time0)
 
-        monkeypatch.setattr(redundancy, "draw_points", counted)
-        ks, ys = select_span(seed, trials, targets, xs, proposal)
+        monkeypatch.setattr(codebook, "draw_points", counted)
+        ks, ys = batched(seed, trials, targets, xs, proposal)
         runs = [pfr_select(targets[x], proposal, arrival_stream(
             derive_subseed(seed, t, "codebook"), "codebook", proposal))
             for t, x in zip(trials, xs.tolist())]
@@ -359,8 +365,8 @@ class TestBatchedScanProperty:
             drawn.append(len(gap_keys) * n)
             return draw_points(gap_keys, mark_keys, cum, start, n, clock)
 
-        monkeypatch.setattr(redundancy, "draw_points", counted)
-        ks, ys = select_span(seed, trials, targets, xs, proposal)
+        monkeypatch.setattr(codebook, "draw_points", counted)
+        ks, ys = batched(seed, trials, targets, xs, proposal)
         runs = [pfr_select(targets[x], proposal, arrival_stream(
             derive_subseed(seed, t, "codebook"), "codebook", proposal))
             for t, x in zip(trials, xs.tolist())]
@@ -370,7 +376,7 @@ class TestBatchedScanProperty:
         assert sum(drawn) == sum(4 * -(-r.examined // 4) for r in runs)
         assert any(r.examined > 4 for r in runs)
 
-    def test_zero_gap_falls_back_to_stream(self, monkeypatch):
+    def test_zero_gap_replays_the_stream(self, monkeypatch):
         # gap word 2^64 - 1 gives a zero gap; the stream regenerates it from
         # the next word, so every later point of that trial moves
         seed, trials, victim = Seed.from_int(77), range(5, 25), 15
@@ -380,20 +386,34 @@ class TestBatchedScanProperty:
         # for the streaming and the batched reader alike
         block0 = stream_keys(seed, [victim], "codebook")[0][0] + bytes(8)
         patch_first_words(monkeypatch, {block0: 2**64 - 1})
-        fallbacks = []
-
-        def counted(*args, **kwargs):
-            fallbacks.append(args)
-            return pfr_select(*args, **kwargs)
-
-        monkeypatch.setattr(redundancy, "pfr_select", counted)
+        replays = record_replays(monkeypatch)
         xs = np.zeros(len(trials), dtype=np.int64)
-        ks, ys = select_span(seed, trials, [target], xs, proposal)
-        assert len(fallbacks) == 1
+        ks, ys = batched(seed, trials, [target], xs, proposal)
+        assert replays == [0]
         got = list(zip(ks.tolist(), ys.tolist()))
         assert got == streaming(seed, trials, [target], xs, proposal)
         monkeypatch.setattr(prob, "hashlib", hashlib)
         assert got != streaming(seed, trials, [target], xs, proposal)
+
+    def test_zero_gap_in_a_later_round_replays_from_its_start(self, monkeypatch):
+        # uniform-Hamming m = 64 at D = 0.5 (f_max = 32) draws rounds of 8
+        # points; a zero gap at point 9 of trial 16 (block 2) is found in the
+        # round from point 9, and the replay must go on from there: the trial
+        # then selects point 75, not point 1
+        source, d = uniform_hamming(64)
+        sol = solve_at_distortion(source, d, 0.5)
+        targets, proposal = sol.kernel.pmfs, sol.output_marginal
+        seed, trials, victim = Seed.from_int(8), range(64), 16
+        block2 = stream_keys(seed, [victim], "codebook")[0][0] + (2).to_bytes(8, "big")
+        patch_first_words(monkeypatch, {block2: 2**64 - 1})
+        replays = record_replays(monkeypatch)
+        xs = np.arange(64)
+        ks, ys = batched(seed, trials, targets, xs, proposal)
+        assert replays == [8] and ks[victim] == 75
+        got = list(zip(ks.tolist(), ys.tolist()))
+        assert got == streaming(seed, trials, targets, xs, proposal)
+        monkeypatch.setattr(prob, "hashlib", hashlib)
+        assert got != streaming(seed, trials, targets, xs, proposal)
 
     def test_top_mark_word_draws_in_the_support(self, monkeypatch):
         # mark word 2^64 - 1 maps to 1.0, at or past every cumulative sum: it
@@ -407,7 +427,7 @@ class TestBatchedScanProperty:
                                 proposal)
         assert stream.next_marked_point().mark == 2
         xs = np.zeros(len(trials), dtype=np.int64)
-        ks, ys = select_span(seed, trials, [target], xs, proposal)
+        ks, ys = batched(seed, trials, [target], xs, proposal)
         assert list(zip(ks.tolist(), ys.tolist())) == streaming(
             seed, trials, [target], xs, proposal)
 

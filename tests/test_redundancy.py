@@ -69,7 +69,7 @@ class TestRecords:
         assert len_plain.tolist() == [len(encode_plain(k)) for k in ks]
         assert len_delta.tolist() == [len(encode_delta(k)) for k in ks]
         monkeypatch.setattr(redundancy, "select_span",
-                            lambda seed, span, targets, xs, q: (np.array(ks), xs))
+                            lambda keys, targets, xs, q: (np.array(ks), xs))
         t = run_trials(bsc_sol, uniform2, hamming2, len(ks), SEED)
         for k, j_x, j_xd, prr, psr, psdr in rows(
                 t, "k", "j_x", "j_xd", "prr_plain", "psr_plain", "psdr_plain"):

@@ -1,8 +1,8 @@
 """Work counts of the CLI runs at 2,000 trials: SHA-256 digests, points drawn
 and engine rounds.  A change that hashes more, or draws more points, fails
 here rather than only in a benchmark run.  The counts cover every path a run
-takes: key derivation, the batched engine, the streaming fallbacks and
-cross-checks, and the Gray-Wyner decode."""
+takes: key derivation, the batched engine, the streaming cross-checks, and
+the Gray-Wyner decode."""
 
 import hashlib
 import json
@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from pfrlab import prob, redundancy
+from pfrlab import codebook, prob
 from pfrlab.cli import main
 from test_golden import TRIALS, demo, hamming
 
@@ -43,9 +43,9 @@ def test_digests_points_and_rounds(tmp_path, monkeypatch, case):
         work["rounds"] += 1
         return draw(gap_keys, mark_keys, cum, start, n, clock)
 
-    draw = redundancy.draw_points
+    draw = codebook.draw_points
     monkeypatch.setattr(prob, "hashlib", SimpleNamespace(sha256=sha256))
-    monkeypatch.setattr(redundancy, "draw_points", draw_points)
+    monkeypatch.setattr(codebook, "draw_points", draw_points)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config()))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"),

@@ -286,9 +286,7 @@ def decode_chunks(model, seed, ks, width):
 
 def assert_batched_equals_streaming(model, n, seed):
     recs = gw_run_trials(model, n, seed)
-    ks = np.array(rows(recs, "k0", "k1", "k2"))
-    decoded = gw_decode_chunk(model, stream_keys(seed, range(n), "gw", "gw-u", "gw-y1",
-                                                 "gw-y2"), ks.T).T
+    decoded = decode_chunks(model, seed, np.array(rows(recs, "k0", "k1", "k2")), n)
     for (t, x1, x2, k0, k1, k2, u, y1, y2), dec in zip(
             rows(recs, "trial", "x1", "x2", "k0", "k1", "k2", "u", "y1", "y2"),
             decoded.tolist()):
@@ -349,8 +347,8 @@ class TestBatchedEqualsStreaming:
 
     def test_zero_gap_in_a_later_round_of_a_decode_scan(self, monkeypatch):
         # a zero gap at point 13 (block 3) of trial 30's gw-y1 stream is found
-        # in the decode scan's round from point 9, which replays from there
-        # and reads another y1 at the same k1 than without it
+        # in the decode scan's round from point 9, which replays from there;
+        # at the same k1 it reads another y1 than the stream without the zero
         seed, n, victim = Seed.from_int(31), 40, 30
         model = sparse_model(5, 2, 2, 2, 64, 64, dead_u=9)
         recs = gw_run_trials(model, n, seed)

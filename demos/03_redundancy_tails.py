@@ -16,7 +16,7 @@ from pfrlab import (DistortionMatrix, FinitePmf, Seed, bound_rhs,
 source = FinitePmf.uniform(2)
 hamming = DistortionMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 sol = solve_at_distortion(source, hamming, 0.11)
-table = run_trials(sol, source, hamming, 30_000, Seed.from_int(77))
+table = run_trials(sol, 30_000, Seed.from_int(77))
 
 s = summary_stats(table, sol)
 print(f"R(D) = {s.rate:.5f} bits at D = {sol.distortion:.5f}")
@@ -31,12 +31,12 @@ for eta in ("PRR", "PSR", "PSDR"):
     for code in ("plain", "delta"):
         for gamma in (0.0, 2.0, 4.0, 6.0):
             t = estimate_tail(table, eta, code, gamma)
-            rhs = bound_rhs(sol, source, hamming, eta, code, gamma)
+            rhs = bound_rhs(sol, eta, code, gamma)
             print(f"{eta:<5} {code:<6} {gamma:5.1f}   {t.p_hat:.5f}    {rhs:.5f}")
 
 print("\nPSDR special forms (plain):")
 for gamma in range(1, 7):
     t = estimate_tail(table, "PSDR", "plain", float(gamma))
-    simple = bound_rhs(sol, source, hamming, "PSDR", "plain", gamma, "psdr_simple")
-    tight = bound_rhs(sol, source, hamming, "PSDR", "plain", gamma, "psdr_tight")
+    simple = bound_rhs(sol, "PSDR", "plain", gamma, "psdr_simple")
+    tight = bound_rhs(sol, "PSDR", "plain", gamma, "psdr_tight")
     print(f"  gamma={gamma}: p_hat={t.p_hat:.5f}  <=  {tight:.5f}  <=  {simple:.5f}")

@@ -221,25 +221,38 @@ def _write(out_dir: str, name: str, lines) -> None:
             fh.write(line + "\n")
 
 
+def _report(out_dir: str, name: str, header: str, checks) -> int:
+    """Write checks, (name, statistic, bound, passed) rows, under header to the
+    CSV name; 0 if every check passed, else 1."""
+    rows = [f"{c},{_g(stat)},{_g(bound)},{str(bool(ok)).lower()}"
+            for c, stat, bound, ok in checks]
+    _write(out_dir, name, [header] + rows)
+    return 0 if all(c[3] for c in checks) else 1
+
+
+def _log2_k_row(name: str, ks, info: float) -> tuple:
+    """The check mean log2 k + 3 SE <= info + 1 over the indices ks."""
+    mean, se = _mean_se(np.log2(ks))
+    stat, bound = mean + 3.0 * se, info + 1.0
+    return name, stat, bound, stat <= bound
+
+
 def cmd_rd_curve(cfg: ExperimentConfig, out_dir: str) -> int:
     source, d = cfg.source, cfg.distortion
     zero = ba_fixed_slope(source, d, 0.0)
     d_min = float(source.probs @ d.d.min(axis=1))
     lines = ["s,D,R,lambda_star"]
-    if zero.distortion - d_min <= 1e-12:
-        lines.append(f"{_g(0.0)},{_g(zero.distortion)},{_g(0.0)},{_g(0.0)}")
-        _write(out_dir, "rd_curve.csv", lines)
-        return 0
+    rows = [(0.0, zero)]
     span = zero.distortion - d_min
-    s_hi = 1.0
-    for _ in range(60):
-        sol = ba_fixed_slope(source, d, s_hi)
-        if sol.distortion <= d_min + 1e-4 * span:
-            break
-        s_hi *= 2.0
-    slopes = np.geomspace(s_hi / 1024.0, s_hi, 23)
-    rows = [(0.0, zero)] + [(float(s), ba_fixed_slope(source, d, float(s)))
-                            for s in slopes]
+    if span > 1e-12:
+        s_hi = 1.0
+        for _ in range(60):
+            sol = ba_fixed_slope(source, d, s_hi)
+            if sol.distortion <= d_min + 1e-4 * span:
+                break
+            s_hi *= 2.0
+        slopes = np.geomspace(s_hi / 1024.0, s_hi, 23)
+        rows += [(float(s), ba_fixed_slope(source, d, float(s))) for s in slopes]
     prev_d, prev_r = math.inf, -math.inf
     ok = True
     for s, sol in rows:
@@ -296,10 +309,8 @@ def cmd_verify_pfr(cfg: ExperimentConfig, out_dir: str) -> int:
             worst = max(worst, surv - (1.0 - p_dom) ** k - 3.0 * se)
         checks.append((f"dominance_slack_y{y}", worst, 0.0, worst <= 0.0))
 
-    mean, se = _mean_se(np.log2(ks))
-    bound = kl_divergence(target, proposal) + 1.0
-    stat = mean + 3.0 * se
-    checks.append(("mean_log2_k_plus_3se", stat, bound, stat <= bound))
+    checks.append(_log2_k_row("mean_log2_k_plus_3se", ks,
+                              kl_divergence(target, proposal)))
 
     res0 = select(0)
     same = res0.k == int(ks[0]) and res0.y == int(ys[0])
@@ -314,11 +325,8 @@ def cmd_verify_pfr(cfg: ExperimentConfig, out_dir: str) -> int:
             break
     checks.append(("stopping_rule_horizon_x2", float(stable), 1.0, stable))
 
-    lines = ["check,statistic,threshold,passed"]
-    for name, stat, thr, passed in checks:
-        lines.append(f"{name},{_g(stat)},{_g(thr)},{str(bool(passed)).lower()}")
-    _write(out_dir, "pfr_checks.csv", lines)
-    return 0 if all(c[3] for c in checks) else 1
+    return _report(out_dir, "pfr_checks.csv", "check,statistic,threshold,passed",
+                   checks)
 
 
 def cmd_redundancy_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
@@ -331,8 +339,7 @@ def cmd_redundancy_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     # above[i, g]: trials whose redundancy of kinds[i] is at least gammas[g]
     above = np.zeros((len(kinds), gammas.size), dtype=np.int64)
     with open(os.path.join(out_dir, "trials.csv"), "w") as fh:
-        for table in trial_tables(sol, cfg.source, cfg.distortion, cfg.trials,
-                                  cfg.seed):
+        for table in trial_tables(sol, cfg.trials, cfg.seed):
             records_to_csv(table, fh)
             above += [(table[f"{eta.lower()}_{code}"][:, None] >= gammas).sum(axis=0)
                       for eta, code in kinds]
@@ -341,7 +348,7 @@ def cmd_redundancy_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     for (eta, code), counts in zip(kinds, above.tolist()):
         for gamma, count in zip(cfg.gamma_grid, counts):
             tail = TailEstimate.from_count(gamma, count, cfg.trials)
-            rhs = bound_rhs(sol, cfg.source, cfg.distortion, eta, code, gamma)
+            rhs = bound_rhs(sol, eta, code, gamma)
             ok &= tail.p_hat - 3.0 * tail.std_err <= rhs
             lines.append(f"{eta},{code},{_g(gamma)},{_g(tail.p_hat)},"
                          f"{_g(tail.std_err)},{_g(rhs)}")
@@ -365,17 +372,9 @@ def cmd_gray_wyner(cfg: ExperimentConfig, out_dir: str) -> int:
 
     infos = (model.mi_u_sources, model.mi_y_source_given_u(1),
              model.mi_y_source_given_u(2))
-    lines = ["quantity,value,bound,passed"]
-    ok = True
-    for i, info in enumerate(infos):
-        name, bound = f"mean_log2_k{i}", info + 1.0
-        mean, se = _mean_se(np.log2(ks[:, i]))
-        stat = mean + 3.0 * se
-        passed = stat <= bound
-        ok &= passed
-        lines.append(f"{name}_plus_3se,{_g(stat)},{_g(bound)},{str(passed).lower()}")
-    _write(out_dir, "gw_summary.csv", lines)
-    return 0 if ok else 1
+    return _report(out_dir, "gw_summary.csv", "quantity,value,bound,passed",
+                   [_log2_k_row(f"mean_log2_k{i}_plus_3se", ks[:, i], info)
+                    for i, info in enumerate(infos)])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -43,13 +43,9 @@ class MarkedPoint(NamedTuple):
     time: float
 
 
-def _subseed(root: bytes, trial: int, role: bytes) -> bytes:
-    return _kdf(root, struct.pack(">q", trial), role)
-
-
 def derive_subseed(seed: Seed, trial: int, role: str) -> Seed:
     """Collision-resistant per-(trial, role) seed; distinct pairs give distinct streams."""
-    return Seed(_subseed(seed.value, trial, _encode_label(role)))
+    return Seed(_kdf(seed.value, struct.pack(">q", trial), _encode_label(role)))
 
 
 def span_keys(seed: Seed, trials, role: str, *labels) -> list:
@@ -141,9 +137,11 @@ class CodebookStream:
     """Marked Poisson process with rate 1 and marks i.i.d. mark_law.
 
     gaps and marks are the two uniform streams its gap and mark words come
-    from.  Single-owner mutable state (cursor); distinct streams are
-    independent of each other.  :func:`arrival_stream` builds one from a seed
-    and label.
+    from.  The stream is its own iterator of (index, mark, time) triples in
+    arrival order: iter(stream) is stream, so every reader, next_marked_point
+    too, advances the one cursor, which stands on the last point given out.
+    Single-owner mutable state; distinct streams are independent of each
+    other.  :func:`arrival_stream` builds one from a seed and label.
     """
 
     def __init__(self, gaps: RngState, marks: RngState, mark_law: FinitePmf):
@@ -154,8 +152,7 @@ class CodebookStream:
         self._marks_rng = marks
         self._cum = mark_law.cumulative()
         self._times = np.empty(0)
-        self._marks = np.empty(0, dtype=np.int64)
-        self._pos = 0
+        self._points = iter(())
 
     def _refill(self):
         gaps = -np.log(self._gaps_rng.uniforms_oc(_BLOCK))
@@ -167,33 +164,23 @@ class CodebookStream:
         times = self._time + np.cumsum(gaps)
         self._time = float(times[-1])
         self._times = times
-        self._marks = np.searchsorted(self._cum, self._marks_rng.uniforms(_BLOCK),
-                                      side="right")
-        self._pos = 0
+        marks = np.searchsorted(self._cum, self._marks_rng.uniforms(_BLOCK), side="right")
+        self._points = zip(marks.tolist(), times.tolist())
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> tuple:
+        point = next(self._points, None)
+        if point is None:
+            self._refill()
+            point = next(self._points)
+        self.cursor += 1
+        return (self.cursor, *point)
 
     def next_marked_point(self) -> MarkedPoint:
         """The next point in arrival order; advances the cursor."""
-        if self._pos >= self._times.size:
-            self._refill()
-        i = self._pos
-        self._pos = i + 1
-        self.cursor += 1
-        return MarkedPoint(self.cursor, int(self._marks[i]), float(self._times[i]))
-
-    def __iter__(self):
-        """(index, mark, time) triples from the refill buffer, in arrival order.
-
-        The cursor advances before each yield, so a caller that stops
-        iterating leaves the stream on the last point it was given.
-        """
-        while True:
-            if self._pos >= self._times.size:
-                self._refill()
-            i = self._pos
-            for mark, t in zip(self._marks[i:].tolist(), self._times[i:].tolist()):
-                self._pos += 1
-                self.cursor += 1
-                yield self.cursor, mark, t
+        return MarkedPoint(*next(self))
 
 
 def arrival_stream(seed: Seed, label: str, mark_law: FinitePmf) -> CodebookStream:

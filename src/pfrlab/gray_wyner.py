@@ -26,6 +26,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -185,7 +186,7 @@ class ResortedStream:
         heap = self._heap
         scale = self._scale
         r = self._r
-        advance = self.base.next_marked_point
+        advance = iter(self.base).__next__
         frontier = self._frontier
         while not heap or heap[0][0] > frontier / r:
             _, mark, t = advance()
@@ -291,9 +292,7 @@ def gw_encode(model: GwModel, x1: SymbolId, x2: SymbolId, seed: Seed) -> GwResul
 
 
 def _nth_mark(stream, k: int) -> SymbolId:
-    for _ in range(k - 1):
-        stream.next_marked_point()
-    return stream.next_marked_point().mark
+    return next(islice(stream, k - 1, None))[1]
 
 
 def gw_decode(model: GwModel, k0: int, k1: int, k2: int, seed: Seed) -> tuple:

@@ -10,7 +10,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -49,11 +49,6 @@ def _kdf_many(heads, middles, tails) -> list:
     return [sha256(head + m + tail).digest() for m in middles]
 
 
-@lru_cache(maxsize=256)
-def _counters(first: int, count: int) -> tuple:
-    return tuple(c.to_bytes(8, "big") for c in range(first, first + count))
-
-
 def key_words(keys, first: int, count: int) -> np.ndarray:
     """Words 4*first .. 4*(first + count) - 1 of RngState(key), one row per key.
 
@@ -61,7 +56,8 @@ def key_words(keys, first: int, count: int) -> np.ndarray:
     same block-aligned position.  Block c is SHA-256(key || c as 8 big-endian
     bytes), 4 words each, as in RngState.uint64.
     """
-    sha256, counters = hashlib.sha256, _counters(first, count)
+    sha256 = hashlib.sha256
+    counters = [c.to_bytes(8, "big") for c in range(first, first + count)]
     buf = b"".join([sha256(k + c).digest() for k in keys for c in counters])
     return np.frombuffer(buf, dtype=">u8").reshape(len(keys), 4 * count)
 

@@ -43,8 +43,7 @@ from .bitcodes import delta_code_length, plain_code_length
 from .codebook import _BLOCK, scan_rounds, span_keys, stream_keys
 from .errors import UnsupportedEta
 from .pfr import _ratio_rows, pfr_scan_rows
-from .prob import (DistortionMatrix, FinitePmf, Seed, entropy,
-                   information_density_table, sample_pmf_keys)
+from .prob import FinitePmf, Seed, entropy, information_density_table, sample_pmf_keys
 from .rd import RdSolution, tilted_information
 
 # trials per span of the sweep's selections and CSV batch, and at most per
@@ -166,31 +165,31 @@ def _per_k(k: np.ndarray, *fns) -> tuple:
     return tuple(np.array([fn(v) for v in distinct.tolist()])[at] for fn in fns)
 
 
-def trial_tables(sol: RdSolution, source: FinitePmf, d: DistortionMatrix,
-                 n: int, seed: Seed):
+def trial_tables(sol: RdSolution, n: int, seed: Seed):
     """run_trials' table one span of _SPAN trials at a time: each yield holds
     the columns of rows span.start..span.stop, so memory does not grow with n."""
     iota, j_x, j_xd = _tables(sol)
-    targets, q, rate = sol.kernel.pmfs, sol.output_marginal, sol.rate
-    for span, x in trial_chunks(source, seed, n, _SPAN):
+    targets, q, rate, d = (sol.kernel.pmfs, sol.output_marginal, sol.rate,
+                           sol.distortion_matrix.d)
+    for span, x in trial_chunks(sol.source, seed, n, _SPAN):
         k, y = select_span(stream_keys(seed, span, "codebook"), targets, x, q)
         # math.log2, not np.log2: that is 1 ulp off at k = 1621 and would change the CSV
         log_k, len_plain, len_delta = _per_k(k, math.log2, plain_code_length,
                                              delta_code_length)
         jx, jxd = j_x[x], j_xd[x, y]
         yield dict(trial=np.arange(span.start, span.stop), x=x, y=y, k=k,
-                   len_plain=len_plain, len_delta=len_delta, dist=d.d[x, y],
+                   len_plain=len_plain, len_delta=len_delta, dist=d[x, y],
                    iota=iota[x, y], j_x=jx, j_xd=jxd, prr_plain=log_k - rate,
                    psr_plain=log_k - jx, psdr_plain=log_k - jxd,
                    prr_delta=len_delta - rate, psr_delta=len_delta - jx,
                    psdr_delta=len_delta - jxd)
 
 
-def run_trials(sol: RdSolution, source: FinitePmf, d: DistortionMatrix,
-               n: int, seed: Seed) -> dict:
-    """n independent trials of the one-shot scheme; deterministic in (seed, n).
-    Returns the trial table: a dict of CSV_HEADER's fields to numpy columns."""
-    tables = list(trial_tables(sol, source, d, n, seed))
+def run_trials(sol: RdSolution, n: int, seed: Seed) -> dict:
+    """n independent trials of the one-shot scheme on sol's source, distortion
+    and kernel; deterministic in (sol, seed, n).  Returns the trial table: a
+    dict of CSV_HEADER's fields to numpy columns."""
+    tables = list(trial_tables(sol, n, seed))
     return {c: np.concatenate([t[c] for t in tables]) for c in tables[0]}
 
 
@@ -218,22 +217,22 @@ def _exp2(e: float) -> float:
 
 
 @lru_cache(maxsize=16)
-def _bound_tables(sol: RdSolution, source: FinitePmf) -> tuple:
-    """bound_rhs's tables that do not depend on gamma, built once per (solution,
-    source): on the (x, y) where source x kernel is positive, those weights,
-    iota, 2^iota + 1 and the eta column of each kind."""
+def _bound_tables(sol: RdSolution) -> tuple:
+    """bound_rhs's tables that do not depend on gamma, built once per solution:
+    on the (x, y) where source x kernel is positive, those weights, iota,
+    2^iota + 1 and the eta column of each kind."""
     iota, j_x, j_xd = _tables(sol)
-    w = source.probs[:, None] * sol.kernel.rows
+    w = sol.source.probs[:, None] * sol.kernel.rows
     mask = w > 0.0
     etas = dict(PRR=np.full(mask.sum(), sol.rate),
                 PSR=np.broadcast_to(j_x[:, None], w.shape)[mask], PSDR=j_xd[mask])
     return w[mask], iota[mask], np.exp2(iota[mask]) + 1.0, etas
 
 
-def bound_rhs(sol: RdSolution, source: FinitePmf, d: DistortionMatrix,
-              eta_kind: str, code_kind: str, gamma: float,
+def bound_rhs(sol: RdSolution, eta_kind: str, code_kind: str, gamma: float,
               variant: str = "") -> float:
-    """Exact right-hand side of the applicable tail bound.
+    """Exact right-hand side of the applicable tail bound, an expectation over
+    sol.source and sol.kernel.
 
     Default variants are the clipped non-prefix bound for the plain code and
     the prefix-free bound for the delta code.  Explicit variants:
@@ -251,7 +250,7 @@ def bound_rhs(sol: RdSolution, source: FinitePmf, d: DistortionMatrix,
     if variant.startswith("psdr") and eta_kind != "PSDR":
         raise UnsupportedEta(f"variant {variant!r} applies to PSDR only")
 
-    weights, iota, iota_up, etas = _bound_tables(sol, source)
+    weights, iota, iota_up, etas = _bound_tables(sol)
     eta = etas[eta_kind]
     if variant == "general":
         return _exp2(-gamma + 1.0) * float(np.dot(weights, np.exp2(-eta) * iota_up))

@@ -57,10 +57,10 @@ def bsc(uniform2, hamming2):
 
 
 @pytest.fixture(scope="module")
-def bsc_run(bsc, uniform2, hamming2):
+def bsc_run(bsc):
     sol, _ = bsc
     t0 = time.perf_counter()
-    table = run_trials(sol, uniform2, hamming2, N_TRIALS, ACC_SEED)
+    table = run_trials(sol, N_TRIALS, ACC_SEED)
     return table, time.perf_counter() - t0
 
 
@@ -169,7 +169,7 @@ def test_criterion_07_expected_length_targets(bsc, bsc_run):
            f"runtime={elapsed:.1f}s (<30s)")
 
 
-def test_criterion_08_psdr_tail(bsc, bsc_run, uniform2, hamming2):
+def test_criterion_08_psdr_tail(bsc, bsc_run):
     sol, _ = bsc
     table, _ = bsc_run
     worst_simple = -math.inf
@@ -177,9 +177,9 @@ def test_criterion_08_psdr_tail(bsc, bsc_run, uniform2, hamming2):
     for gamma in range(1, 9):
         t = estimate_tail(table, "PSDR", "plain", float(gamma))
         stat = t.p_hat - 3.0 * t.std_err
-        simple = bound_rhs(sol, uniform2, hamming2, "PSDR", "plain", gamma,
+        simple = bound_rhs(sol, "PSDR", "plain", gamma,
                            "psdr_simple")
-        tight = bound_rhs(sol, uniform2, hamming2, "PSDR", "plain", gamma,
+        tight = bound_rhs(sol, "PSDR", "plain", gamma,
                           "psdr_tight")
         assert simple == pytest.approx(2.0 ** (-gamma + 2.0))
         worst_simple = max(worst_simple, stat - simple)
@@ -189,7 +189,7 @@ def test_criterion_08_psdr_tail(bsc, bsc_run, uniform2, hamming2):
            f"vs 2^(-g+1)(1+E[2^-iota]): {worst_tight:.2e} (both <=0)")
 
 
-def test_criterion_09_tail_grid(bsc, bsc_run, uniform2, hamming2):
+def test_criterion_09_tail_grid(bsc, bsc_run):
     sol, _ = bsc
     table, _ = bsc_run
     worst = -math.inf
@@ -198,7 +198,7 @@ def test_criterion_09_tail_grid(bsc, bsc_run, uniform2, hamming2):
         for code in ("plain", "delta"):
             for gamma in range(-2, 11):
                 t = estimate_tail(table, eta, code, float(gamma))
-                rhs = bound_rhs(sol, uniform2, hamming2, eta, code, float(gamma))
+                rhs = bound_rhs(sol, eta, code, float(gamma))
                 worst = max(worst, t.p_hat - 3.0 * t.std_err - rhs)
                 count += 1
     report(9, worst <= 1e-12,
@@ -295,7 +295,7 @@ def test_criterion_13_non_binary_laws():
     source, d = uniform_hamming(m)
     sol = solve_at_distortion(source, d, 0.5)
     t0 = time.perf_counter()
-    table = run_trials(sol, source, d, N_TRIALS, ACC_SEED)
+    table = run_trials(sol, N_TRIALS, ACC_SEED)
     elapsed = time.perf_counter() - t0
     x, y, k = table["x"], table["y"], table["k"]
     law = source.probs[:, None] * sol.kernel.rows

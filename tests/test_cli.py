@@ -151,7 +151,7 @@ class TestRedundancySweep:
         cfg = load_config(write_config(tmp_path, bsc_config(trials=n)),
                           "redundancy-sweep")
         sol = solve_at_distortion(cfg.source, cfg.distortion, cfg.target_D)
-        table = run_trials(sol, cfg.source, cfg.distortion, n, cfg.seed)
+        table = run_trials(sol, n, cfg.seed)
         kinds = [(eta, code) for eta in ETA_KINDS for code in CODE_KINDS]
         picks = {v for eta, code in kinds
                  for v in np.unique(table[f"{eta.lower()}_{code}"])[[0, -1]].tolist()}
@@ -410,9 +410,9 @@ class TestExitCodes:
         # would run until killed
         started, run = [], cli.trial_tables
 
-        def counted(*args):
-            started.append(args[3])
-            return run(*args)
+        def counted(sol, n, seed):
+            started.append(n)
+            return run(sol, n, seed)
 
         monkeypatch.setattr(cli, "trial_tables", counted)
         for trials, flag in ((10 ** 30, []), (10, ["--trials", "100000000000"]),

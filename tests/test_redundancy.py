@@ -25,8 +25,8 @@ UNCLIPPED = (("PRR", "plain", "general"), ("PSDR", "plain", "psdr_simple"),
 
 
 @pytest.fixture(scope="module")
-def bsc_table(bsc_sol, uniform2, hamming2):
-    return run_trials(bsc_sol, uniform2, hamming2, 4000, SEED)
+def bsc_table(bsc_sol):
+    return run_trials(bsc_sol, 4000, SEED)
 
 
 class TestRecords:
@@ -59,8 +59,7 @@ class TestRecords:
             assert psdr == pytest.approx(lk - jxd, abs=1e-12)
             assert prr_d == pytest.approx(ld - bsc_sol.rate, abs=1e-12)
 
-    def test_plain_redundancies_use_math_log2(self, bsc_sol, uniform2, hamming2,
-                                              monkeypatch):
+    def test_plain_redundancies_use_math_log2(self, bsc_sol, monkeypatch):
         # np.log2 is 1 ulp off math.log2 at these k; the CSV digits follow math.log2
         ks = [1621, 3242, 6484, 7957, 12968, 1621, 1]
         log_k, len_plain, len_delta = redundancy._per_k(
@@ -70,7 +69,7 @@ class TestRecords:
         assert len_delta.tolist() == [len(encode_delta(k)) for k in ks]
         monkeypatch.setattr(redundancy, "select_span",
                             lambda keys, targets, xs, q: (np.array(ks), xs))
-        t = run_trials(bsc_sol, uniform2, hamming2, len(ks), SEED)
+        t = run_trials(bsc_sol, len(ks), SEED)
         for k, j_x, j_xd, prr, psr, psdr in rows(
                 t, "k", "j_x", "j_xd", "prr_plain", "psr_plain", "psdr_plain"):
             lk = math.log2(k)
@@ -83,9 +82,9 @@ class TestRecords:
         se = dist.std(ddof=1) / math.sqrt(dist.size)
         assert abs(dist.mean() - bsc_sol.distortion) <= 3 * se + 1e-9
 
-    def test_deterministic_and_threaded(self, bsc_sol, uniform2, hamming2):
-        a = run_trials(bsc_sol, uniform2, hamming2, 500, SEED)
-        b = run_trials(bsc_sol, uniform2, hamming2, 500, SEED)
+    def test_deterministic_and_threaded(self, bsc_sol):
+        a = run_trials(bsc_sol, 500, SEED)
+        b = run_trials(bsc_sol, 500, SEED)
         assert_same_table(a, b)
 
     def test_sweep_spans_equal_streaming_selection(self):
@@ -94,7 +93,7 @@ class TestRecords:
         source, d = uniform_hamming(16)
         sol = solve_at_distortion(source, d, 0.5)
         n = redundancy._SPAN + 1
-        t = run_trials(sol, source, d, n, SEED)
+        t = run_trials(sol, n, SEED)
         q = sol.output_marginal
         for trial, x, k, y in rows(t, "trial", "x", "k", "y"):
             assert x == sample_pmf(source, derive_subseed(SEED, trial, "source")
@@ -103,9 +102,9 @@ class TestRecords:
                 derive_subseed(SEED, trial, "codebook"), "codebook", q))
             assert (k, y) == (r.k, r.y)
 
-    def test_prefix_independent_of_total(self, bsc_sol, uniform2, hamming2):
-        a = run_trials(bsc_sol, uniform2, hamming2, 50, SEED)
-        b = run_trials(bsc_sol, uniform2, hamming2, 200, SEED)
+    def test_prefix_independent_of_total(self, bsc_sol):
+        a = run_trials(bsc_sol, 50, SEED)
+        b = run_trials(bsc_sol, 200, SEED)
         assert_same_table(a, head(b, 50))
 
 
@@ -114,8 +113,8 @@ class TestTails:
         assert estimate_tail(bsc_table, "PRR", "plain", -1e6).p_hat == 1.0
         assert estimate_tail(bsc_table, "PRR", "plain", 1e6).p_hat == 0.0
 
-    def test_single_trial(self, bsc_sol, uniform2, hamming2):
-        recs = run_trials(bsc_sol, uniform2, hamming2, 1, SEED)
+    def test_single_trial(self, bsc_sol):
+        recs = run_trials(bsc_sol, 1, SEED)
         t = estimate_tail(recs, "PSDR", "delta", 0.0)
         assert t.p_hat in (0.0, 1.0) and t.std_err == 0.0 and t.n == 1
 
@@ -132,68 +131,67 @@ class TestTails:
 
 
 class TestBoundRhs:
-    def test_psdr_simple_values(self, bsc_sol, uniform2, hamming2):
-        assert bound_rhs(bsc_sol, uniform2, hamming2, "PSDR", "plain", 2.0,
+    def test_psdr_simple_values(self, bsc_sol):
+        assert bound_rhs(bsc_sol, "PSDR", "plain", 2.0,
                          "psdr_simple") == pytest.approx(1.0)
-        assert bound_rhs(bsc_sol, uniform2, hamming2, "PSDR", "plain", 5.0,
+        assert bound_rhs(bsc_sol, "PSDR", "plain", 5.0,
                          "psdr_simple") == pytest.approx(0.125)
 
-    def test_general_psdr_collapses(self, bsc_sol, uniform2, hamming2):
+    def test_general_psdr_collapses(self, bsc_sol):
         # with eta = iota the general form is 2^{-g+1} (1 + E[2^-iota])
         for g in [0.0, 2.0, 4.0]:
-            lhs = bound_rhs(bsc_sol, uniform2, hamming2, "PSDR", "plain", g,
+            lhs = bound_rhs(bsc_sol, "PSDR", "plain", g,
                             "general")
-            tight = bound_rhs(bsc_sol, uniform2, hamming2, "PSDR", "plain", g,
+            tight = bound_rhs(bsc_sol, "PSDR", "plain", g,
                               "psdr_tight")
             assert lhs == pytest.approx(tight, rel=1e-9)
             assert lhs <= 2.0 ** (-g + 2.0) + 1e-12
 
-    def test_full_support_exp_iota_is_one(self, bsc_sol, uniform2, hamming2):
+    def test_full_support_exp_iota_is_one(self, bsc_sol):
         # full-support solution: E[2^-iota] = 1, so the tight bound at g = 1
         # is 2^{-1+1} (1 + 1) = 2
-        got = bound_rhs(bsc_sol, uniform2, hamming2, "PSDR", "plain", 1.0,
+        got = bound_rhs(bsc_sol, "PSDR", "plain", 1.0,
                         "psdr_tight")
         assert got == pytest.approx(2.0, rel=1e-9)
 
-    def test_clipped_never_exceeds_general(self, bsc_sol, uniform2, hamming2):
+    def test_clipped_never_exceeds_general(self, bsc_sol):
         for eta in ("PRR", "PSR", "PSDR"):
             for g in [-2.0, 0.0, 1.0, 3.0, 6.0]:
-                clip = bound_rhs(bsc_sol, uniform2, hamming2, eta, "plain", g)
-                gen = bound_rhs(bsc_sol, uniform2, hamming2, eta, "plain", g,
+                clip = bound_rhs(bsc_sol, eta, "plain", g)
+                gen = bound_rhs(bsc_sol, eta, "plain", g,
                                 "general")
                 assert clip <= gen + 1e-12
                 assert clip <= 1.0 + 1e-12
 
-    def test_empirical_tails_below_bounds(self, bsc_sol, uniform2, hamming2,
-                                          bsc_table):
+    def test_empirical_tails_below_bounds(self, bsc_sol, bsc_table):
         for eta in ("PRR", "PSR", "PSDR"):
             for code in ("plain", "delta"):
                 for g in range(-2, 11):
                     t = estimate_tail(bsc_table, eta, code, g)
-                    rhs = bound_rhs(bsc_sol, uniform2, hamming2, eta, code, g)
+                    rhs = bound_rhs(bsc_sol, eta, code, g)
                     assert t.p_hat - 3 * t.std_err <= rhs + 1e-12
 
-    def test_huge_gamma_is_finite(self, bsc_sol, uniform2, hamming2):
+    def test_huge_gamma_is_finite(self, bsc_sol):
         # ([eta+g]_+ + 1)^2 overflows to inf where 2^-g underflows to 0; the
         # true term tends to 0, so the bound must not be 0 * inf = NaN
         for eta, variant in (("PRR", "prefix"), ("PSR", "prefix"),
                              ("PSDR", "prefix"), ("PSDR", "psdr_prefix")):
             for g in (1e150, 1e200, 1e308):
-                assert bound_rhs(bsc_sol, uniform2, hamming2, eta, "delta", g,
+                assert bound_rhs(bsc_sol, eta, "delta", g,
                                  variant) == 0.0
         with np.errstate(over="ignore"):
-            assert bound_rhs(bsc_sol, uniform2, hamming2, "PSR", "delta",
+            assert bound_rhs(bsc_sol, "PSR", "delta",
                              -1e200) == pytest.approx(1.0)
 
-    def test_steep_negative_gamma_is_inf(self, bsc_sol, uniform2, hamming2):
+    def test_steep_negative_gamma_is_inf(self, bsc_sol):
         # 2^{-g+c} overflows a float; the trivially valid bound is +inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for eta, code, variant in UNCLIPPED:
-                assert bound_rhs(bsc_sol, uniform2, hamming2, eta, code, -2000.0,
+                assert bound_rhs(bsc_sol, eta, code, -2000.0,
                                  variant) == math.inf
 
-    def test_very_negative_gamma_is_silent(self, bsc_sol, uniform2, hamming2):
+    def test_very_negative_gamma_is_silent(self, bsc_sol, uniform2):
         # 2^{-eta-g} overflows to inf and every clipped term is 1, so the bound
         # is the total weight on the support, with no overflow warning
         w = uniform2.probs[:, None] * bsc_sol.kernel.rows
@@ -202,10 +200,10 @@ class TestBoundRhs:
             warnings.simplefilter("error")
             for eta in ETA_KINDS:
                 for code in CODE_KINDS:
-                    got = bound_rhs(bsc_sol, uniform2, hamming2, eta, code, -2000.0)
+                    got = bound_rhs(bsc_sol, eta, code, -2000.0)
                     assert got.hex() == total.hex()
 
-    def test_unclipped_values_unchanged(self, bsc_sol, uniform2, hamming2):
+    def test_unclipped_values_unchanged(self, bsc_sol, uniform2):
         # the reference is the plain float power 2.0 ** (-g + c)
         rows = bsc_sol.kernel.rows
         iota_tab, j_x, _ = redundancy._tables(bsc_sol)
@@ -224,16 +222,16 @@ class TestBoundRhs:
                     weights, (np.clip(iota + g, 0.0, 1e150) + 1.0) ** 2)),
             }
             for eta_kind, code, variant in UNCLIPPED:
-                got = bound_rhs(bsc_sol, uniform2, hamming2, eta_kind, code, g,
+                got = bound_rhs(bsc_sol, eta_kind, code, g,
                                 variant)
                 assert got.hex() == want[variant].hex()
 
-    def test_variant_validation(self, bsc_sol, uniform2, hamming2):
+    def test_variant_validation(self, bsc_sol):
         with pytest.raises(UnsupportedEta):
-            bound_rhs(bsc_sol, uniform2, hamming2, "PSR", "plain", 1.0,
+            bound_rhs(bsc_sol, "PSR", "plain", 1.0,
                       "psdr_simple")
         with pytest.raises(ValueError):
-            bound_rhs(bsc_sol, uniform2, hamming2, "PSR", "plain", 1.0, "nope")
+            bound_rhs(bsc_sol, "PSR", "plain", 1.0, "nope")
 
 
 class TestIotaTable:
@@ -288,7 +286,7 @@ class TestDegenerateSource:
         d = DistortionMatrix(np.array([[0.0, 1.0]]))
         sol = solve_at_distortion(src, d, 0.0)
         assert sol.rate == 0.0
-        recs = run_trials(sol, src, d, 2000, SEED)
+        recs = run_trials(sol, 2000, SEED)
         assert np.all(recs["iota"] == 0.0)
         assert np.all(recs["k"] == 1)  # constant ratio: first point wins
         s = summary_stats(recs, sol)
@@ -309,10 +307,10 @@ class TestCsv:
                 digits = re.sub(r"[-.]|e.*", "", cell).lstrip("0")
                 assert len(digits) <= 9
 
-    def test_byte_identical(self, bsc_sol, uniform2, hamming2):
+    def test_byte_identical(self, bsc_sol):
         out = []
         for _ in range(2):
-            recs = run_trials(bsc_sol, uniform2, hamming2, 300, SEED)
+            recs = run_trials(bsc_sol, 300, SEED)
             buf = io.StringIO()
             records_to_csv(recs, buf)
             out.append(buf.getvalue())

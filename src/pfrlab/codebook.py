@@ -168,6 +168,8 @@ class CodebookStream:
         self._points = zip(marks.tolist(), times.tolist())
 
     def __iter__(self):
+        # not a generator stored on the stream: that would hold the stream in a
+        # reference cycle, which only the cyclic collector frees
         return self
 
     def __next__(self) -> tuple:

@@ -38,7 +38,7 @@ from .redundancy import (_SPAN, CODE_KINDS, ETA_KINDS, TailEstimate, _mean_se,
 
 # redundancy-sweep keeps one span of trials in memory, whatever the count; but
 # gray-wyner peaks at about 190 B per trial (1.9 GB at the ceiling) and
-# verify-pfr at about 50 B, since they keep every trial's columns
+# verify-pfr at about 60 B, since they keep every trial's columns
 MAX_TRIALS = 10 ** 7
 # verify-pfr's horizon-x2 replays stream about 2 f_max points each, in Python:
 # they stop after the trial that reaches this many points (about a second)
@@ -359,10 +359,10 @@ def cmd_redundancy_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
 def cmd_gray_wyner(cfg: ExperimentConfig, out_dir: str) -> int:
     model, seed, n = cfg.gw_model, cfg.seed, cfg.trials
     table = gw_run_trials(model, n, seed)  # decodes every trial batched
-    xs, ks, ys = (np.column_stack([table[c] for c in cols]) for cols in
-                  (("x1", "x2"), ("k0", "k1", "k2"), ("u", "y1", "y2")))
     # and the streaming encoder and decoder must agree on the first 32 trials
-    for t, x, k, y in zip(range(32), *(a[:32].tolist() for a in (xs, ks, ys))):
+    xs, ks, ys = (np.column_stack([table[c][:32] for c in cols]).tolist() for cols in
+                  (("x1", "x2"), ("k0", "k1", "k2"), ("u", "y1", "y2")))
+    for t, x, k, y in zip(range(32), xs, ks, ys):
         sub = derive_subseed(seed, t, "gw")
         if (astuple(gw_encode(model, *x, sub)) != (*k, *y)
                 or gw_decode(model, *k, sub) != tuple(y)):
@@ -373,7 +373,7 @@ def cmd_gray_wyner(cfg: ExperimentConfig, out_dir: str) -> int:
     infos = (model.mi_u_sources, model.mi_y_source_given_u(1),
              model.mi_y_source_given_u(2))
     return _report(out_dir, "gw_summary.csv", "quantity,value,bound,passed",
-                   [_log2_k_row(f"mean_log2_k{i}_plus_3se", ks[:, i], info)
+                   [_log2_k_row(f"mean_log2_k{i}_plus_3se", table[f"k{i}"], info)
                     for i, info in enumerate(infos)])
 
 

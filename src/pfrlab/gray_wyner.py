@@ -35,8 +35,8 @@ from .codebook import (CodebookStream, MarkedPoint, arrival_stream, nth_marks,
                        scan_rounds, stream_keys)
 from .errors import RoundTripMismatch, UnsupportedPoint
 from .pfr import pfr_scan_rows, pfr_select
-from .prob import (FinitePmf, Kernel, Seed, SymbolId, information_density_table,
-                   mutual_information, weighted_kl)
+from .prob import (FinitePmf, Kernel, Seed, SymbolId, _frozen_array,
+                   information_density_table, mutual_information, weighted_kl)
 from .redundancy import (_SPAN, _per_k, _round_points, _write_table, select_span,
                          trial_chunks)
 
@@ -58,15 +58,9 @@ class GwModel:
     y2_kernel: Kernel
 
     def __post_init__(self):
-        a = np.asarray(self.joint_source, dtype=np.float64)
-        if a.ndim != 2:
-            raise ValueError("joint_source must be an (n1, n2) matrix")
-        if np.any(a < 0) or not np.all(np.isfinite(a)):
-            raise ValueError("joint_source entries must be finite and >= 0")
+        a = _frozen_array(self.joint_source, 2, "joint_source")
         if abs(a.sum() - 1.0) > 1e-12:
             raise ValueError("joint_source must sum to 1")
-        a = a.copy()
-        a.flags.writeable = False
         object.__setattr__(self, "joint_source", a)
         n1, n2 = a.shape
         nu = self.u_kernel.shape[1]

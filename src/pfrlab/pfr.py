@@ -55,12 +55,6 @@ def _density_ratio(target: FinitePmf, proposal: FinitePmf) -> np.ndarray:
 
 
 @lru_cache(maxsize=512)
-def _ratio_cached(target: FinitePmf, proposal: FinitePmf):
-    f = _density_ratio(target, proposal)
-    return f.tolist(), float(f.max())
-
-
-@lru_cache(maxsize=16)
 def _ratio_rows(targets: tuple, proposal: FinitePmf):
     """Density ratios of the targets against one proposal, a row each; row maxima."""
     f = np.array([_density_ratio(t, proposal) for t in targets])
@@ -83,10 +77,11 @@ def pfr_select(target: FinitePmf, proposal: FinitePmf, stream,
     scan past the provable cutoff (used to regression-test the stopping rule;
     the result never changes).
     """
-    f, f_max = _ratio_cached(target, proposal)
+    rows, f_max = _ratio_rows((target,), proposal)
+    f = rows[0].tolist()
     if not _mark_law_matches(stream.mark_law, proposal):
         raise ValueError("stream mark law differs from the proposal")
-    stop_scale = horizon_scale * f_max
+    stop_scale = horizon_scale * float(f_max[0])
     best = math.inf
     best_k = 0
     best_y = -1

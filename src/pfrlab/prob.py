@@ -22,17 +22,14 @@ _PMF_SUM_TOL = 1e-12
 _TWO_NEG64 = 2.0 ** -64
 
 
+def _frame(parts) -> bytes:
+    """The parts, each behind its length as 4 big-endian bytes."""
+    return b"".join([struct.pack(">I", len(p)) + p for p in parts])
+
+
 def _kdf(*parts: bytes) -> bytes:
     """Collision-resistant key derivation: SHA-256 over length-prefixed parts."""
-    h = hashlib.sha256()
-    for p in parts:
-        h.update(struct.pack(">I", len(p)))
-        h.update(p)
-    return h.digest()
-
-
-def _frame(parts) -> bytes:
-    return b"".join([struct.pack(">I", len(p)) + p for p in parts])
+    return hashlib.sha256(_frame(parts)).digest()
 
 
 def _kdf_many(heads, middles, tails) -> list:
@@ -78,6 +75,18 @@ def unit_interval(words: np.ndarray) -> np.ndarray:
 def unit_interval_oc(words: np.ndarray) -> np.ndarray:
     """Words as uniforms in (0, 1]; safe as -log input."""
     return (words.astype(np.float64) + 1.0) * _TWO_NEG64
+
+
+def _frozen_array(values, ndim: int, what: str) -> np.ndarray:
+    """A read-only float64 copy of values, which must have ndim nonempty
+    dimensions and finite entries >= 0; a ValueError naming what otherwise."""
+    a = np.array(values, dtype=np.float64)
+    if a.ndim != ndim or 0 in a.shape:
+        raise ValueError(f"{what} needs a {ndim}-D array with no empty dimension")
+    if not np.all(np.isfinite(a)) or np.any(a < 0):
+        raise ValueError(f"{what} entries must be finite and >= 0")
+    a.flags.writeable = False
+    return a
 
 
 def _encode_label(label) -> bytes:
@@ -177,16 +186,10 @@ class FinitePmf:
     probs: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.probs, dtype=np.float64)
-        if a.ndim != 1 or a.size < 1:
-            raise ValueError("FinitePmf needs a 1-D vector of length >= 1")
-        if not np.all(np.isfinite(a)) or np.any(a < 0):
-            raise ValueError("FinitePmf entries must be finite and >= 0")
+        a = _frozen_array(self.probs, 1, "FinitePmf")
         s = float(a.sum())
         if abs(s - 1.0) > _PMF_SUM_TOL:
             raise ValueError(f"FinitePmf entries must sum to 1 (got {s!r})")
-        a = a.copy()
-        a.flags.writeable = False
         object.__setattr__(self, "probs", a)
         cum = np.cumsum(a)
         cum[np.flatnonzero(a)[-1]:] = np.inf
@@ -231,17 +234,11 @@ class Kernel:
     rows: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.rows, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-            raise ValueError("Kernel needs a 2-D matrix")
-        if not np.all(np.isfinite(a)) or np.any(a < 0):
-            raise ValueError("Kernel entries must be finite and >= 0")
+        a = _frozen_array(self.rows, 2, "Kernel")
         sums = a.sum(axis=1)
         bad = np.flatnonzero(np.abs(sums - 1.0) > _PMF_SUM_TOL)
         if bad.size:
             raise ValueError(f"Kernel row {bad[0]} sums to {sums[bad[0]]!r}, not 1")
-        a = a.copy()
-        a.flags.writeable = False
         object.__setattr__(self, "rows", a)
 
     @property
@@ -269,14 +266,7 @@ class DistortionMatrix:
     d: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.d, dtype=np.float64)
-        if a.ndim != 2:
-            raise ValueError("DistortionMatrix needs a 2-D matrix")
-        if not np.all(np.isfinite(a)) or np.any(a < 0):
-            raise ValueError("distortions must be finite and >= 0")
-        a = a.copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "d", a)
+        object.__setattr__(self, "d", _frozen_array(self.d, 2, "DistortionMatrix"))
 
     @property
     def shape(self) -> tuple:

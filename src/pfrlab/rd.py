@@ -12,7 +12,8 @@ optimality gap log2(max_y c_y), which upper-bounds how far the returned rate
 sits above the curve at the achieved distortion.
 
 Hitting a distortion target is a bisection over the slope, which also hands
-back lambda* = -R'(D) for free.
+back lambda* = -R'(D) for free.  A solution's rate is computed on first read,
+so the slopes the bisection tries and discards never pay for one.
 
 The returned solution is self-consistent by construction: the kernel is the
 exact reweighting of the returned output marginal, so the identity between
@@ -22,6 +23,7 @@ float rounding on the whole support.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,19 +45,26 @@ class RdSolution:
     """One point of the rate-distortion curve with its optimizing objects.
 
     slope_lambda is the Lagrange slope s = lambda* = -R'(D) in bits per
-    distortion unit; kernel is the optimizing conditional law; rate is
-    I(X;Y) in bits at that kernel; distortion its expected distortion.
-    The problem data (source, distortion_matrix) ride along so tilted
-    information is computable from the solution alone.
+    distortion unit; kernel is the optimizing conditional law; distortion
+    its expected distortion; rate, I(X;Y) in bits at the kernel, is computed
+    on first read.  The problem data (source, distortion_matrix) ride along
+    so tilted information is computable from the solution alone.
     """
 
     slope_lambda: float
     kernel: Kernel
     output_marginal: FinitePmf
-    rate: float
     distortion: float
     source: FinitePmf
     distortion_matrix: DistortionMatrix
+
+    @cached_property
+    def rate(self) -> float:
+        """At least 0, and 0 at slope 0, where a marginal an ulp short of 1
+        would leave 3e-16 bits."""
+        if self.slope_lambda == 0.0:
+            return 0.0
+        return max(mutual_information(self.source, self.kernel), 0.0)
 
 
 def _zero_rate_solution(source: FinitePmf, d: DistortionMatrix) -> RdSolution:
@@ -65,7 +74,7 @@ def _zero_rate_solution(source: FinitePmf, d: DistortionMatrix) -> RdSolution:
     q = FinitePmf.point_mass(y_star, m)
     rows = np.tile(q.probs, (len(source), 1))
     return RdSolution(slope_lambda=0.0, kernel=Kernel(rows), output_marginal=q,
-                      rate=0.0, distortion=float(per_y[y_star]),
+                      distortion=float(per_y[y_star]),
                       source=source, distortion_matrix=d)
 
 
@@ -74,9 +83,8 @@ def _assemble(source, d, s, q, a) -> RdSolution:
     rows = a * q[None, :] / z[:, None]
     kernel = Kernel(rows)
     dist = float(source.probs @ (rows * d.d).sum(axis=1))
-    rate = max(mutual_information(source, kernel), 0.0)
     return RdSolution(slope_lambda=float(s), kernel=kernel,
-                      output_marginal=FinitePmf(q), rate=rate, distortion=dist,
+                      output_marginal=FinitePmf(q), distortion=dist,
                       source=source, distortion_matrix=d)
 
 

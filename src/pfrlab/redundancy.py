@@ -306,25 +306,15 @@ def summary_stats(table: dict, sol: RdSolution) -> TrialSummary:
     ks = table["k"]
     if ks.size == 0:
         raise ValueError("the trial table must be nonempty")
-    dist, jx, jxd = table["dist"], table["j_x"], table["j_xd"]
-    lp, ld = (table[c].astype(float) for c in ("len_plain", "len_delta"))
-    lk = np.log2(ks)
     _, counts = np.unique(ks, return_counts=True)
-    h_k = entropy(FinitePmf(counts / counts.sum()))
-    m_dist, se_dist = _mean_se(dist)
-    m_lp, se_lp = _mean_se(lp)
-    m_ld, se_ld = _mean_se(ld)
-    m_lk, se_lk = _mean_se(lk)
-    m_jx, se_jx = _mean_se(jx)
-    m_jxd, se_jxd = _mean_se(jxd)
-    r = sol.rate
+    stats = {}
+    for name in ("dist", "len_plain", "len_delta", "log2_k", "j_x", "j_xd"):
+        vals = np.log2(ks) if name == "log2_k" else table[name].astype(float)
+        stats[f"mean_{name}"], stats[f"se_{name}"] = _mean_se(vals)
+    m_lk, r = stats["mean_log2_k"], sol.rate
     return TrialSummary(
-        n=ks.size, mean_dist=m_dist, mean_len_plain=m_lp,
-        mean_len_delta=m_ld, mean_log2_k=m_lk,
-        se_dist=se_dist, se_len_plain=se_lp, se_len_delta=se_ld, se_log2_k=se_lk,
-        mean_j_x=m_jx, mean_j_xd=m_jxd, se_j_x=se_jx, se_j_xd=se_jxd,
-        entropy_k=h_k, rate=r,
-        plain_target=r + 2.01,
+        n=ks.size, **stats, entropy_k=entropy(FinitePmf(counts / counts.sum())),
+        rate=r, plain_target=r + 2.01,
         delta_target=r + math.log2(r + 3.01) + 4.01,
         entropy_k_bound=m_lk + math.log2(m_lk + 1.0) + 1.0)
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pfrlab import (AbsoluteContinuityViolated, FinitePmf, Kernel, Seed,
-                    UnsupportedOutput, entropy, expected_log_k_bound,
+from pfrlab import (AbsoluteContinuityViolated, DistortionMatrix, FinitePmf,
+                    GwModel, Kernel, Seed, UnsupportedOutput, entropy, expected_log_k_bound,
                     information_density, kl_divergence, mutual_information,
                     sample_pmf)
 from pfrlab.prob import (RngState, _kdf, _kdf_many, information_density_table,
@@ -50,6 +50,53 @@ class TestValidation:
         with pytest.raises(ValueError):
             Seed(b"short")
         assert Seed.from_hex("00" * 32).hex() == "00" * 32
+
+
+def gw_model(joint):
+    """A GwModel on the (2, 2) joint source with a one-letter auxiliary."""
+    one = Kernel(np.ones((2, 1)))
+    return GwModel(joint_source=joint, u_kernel=Kernel(np.ones((4, 1))),
+                   y1_kernel=one, y2_kernel=one)
+
+
+# (constructor, the field it stores, a valid input)
+ARRAY_INPUTS = {
+    "FinitePmf": (FinitePmf, "probs", [0.25, 0.75]),
+    "Kernel": (Kernel, "rows", [[0.25, 0.75], [1.0, 0.0]]),
+    "DistortionMatrix": (DistortionMatrix, "d", [[0.0, 1.0], [2.0, 0.5]]),
+    "GwModel": (gw_model, "joint_source", [[0.25, 0.25], [0.125, 0.375]]),
+}
+
+
+def bad_arrays(valid):
+    """Inputs each class must refuse: a NaN, an inf or a negative entry (the
+    last keeping every sum at 1), one dimension too many, an empty dimension."""
+    a = np.array(valid)
+    nan, inf, neg = a.copy(), a.copy(), a.copy()
+    nan.flat[0], inf.flat[0] = np.nan, np.inf
+    neg.flat[0], neg.flat[1] = neg.flat[0] - 0.5, neg.flat[1] + 0.5
+    empty = np.zeros(a.shape[:-1] + (0,))
+    return dict(nan=nan, inf=inf, negative=neg, extra_dim=a[None], empty=empty)
+
+
+class TestArrayValidation:
+    @pytest.mark.parametrize("name", ARRAY_INPUTS)
+    @pytest.mark.parametrize("bad", ["nan", "inf", "negative", "extra_dim", "empty"])
+    def test_rejects(self, name, bad):
+        build, _, valid = ARRAY_INPUTS[name]
+        with pytest.raises(ValueError):
+            build(bad_arrays(valid)[bad])
+
+    @pytest.mark.parametrize("name", ARRAY_INPUTS)
+    def test_stores_a_read_only_copy(self, name):
+        build, field, valid = ARRAY_INPUTS[name]
+        a = np.array(valid)
+        stored = getattr(build(a), field)
+        a.flat[0] = 7.0
+        assert np.array_equal(stored, valid)
+        assert stored.dtype == np.float64
+        with pytest.raises(ValueError):
+            stored.flat[0] = 7.0
 
 
 class TestEntropy:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from pfrlab import (DistortionMatrix, FinitePmf, NotConverged, TargetOutOfRange,
                     ba_fixed_slope, information_density, mutual_information,
                     solve_at_distortion, tilted_information)
-from conftest import PROPERTY, binary_entropy
+from pfrlab import rd
+from conftest import PROPERTY, binary_entropy, uniform_hamming
 
 
 def pmf(*vals):
@@ -76,6 +77,31 @@ class TestSolveAtDistortion:
         d = DistortionMatrix(np.array([[0.5, 1.0], [1.0, 0.5]]))
         with pytest.raises(TargetOutOfRange):
             solve_at_distortion(UNIFORM, d, 0.2)
+
+
+class TestRateOnFirstRead:
+    def test_solve_computes_the_rate_once_when_read(self, monkeypatch):
+        calls = []
+
+        def counted(px, k):
+            calls.append(k)
+            return mutual_information(px, k)
+
+        monkeypatch.setattr(rd, "mutual_information", counted)
+        sol = solve_at_distortion(*uniform_hamming(64), 0.5)
+        assert calls == []
+        assert sol.rate.hex() == "0x1.01745dca4755ap+1"
+        assert calls == [sol.kernel]
+        assert sol.rate.hex() == "0x1.01745dca4755ap+1"
+        assert len(calls) == 1
+
+    def test_zero_rate_is_exactly_zero(self):
+        # the float marginal of ten 0.1s misses 1 and its bare I(X;Y) is 3e-16
+        src, d = uniform_hamming(10)
+        sol = solve_at_distortion(src, d, 0.95)
+        assert sol.slope_lambda == 0.0
+        assert mutual_information(src, sol.kernel) > 0.0
+        assert sol.rate == 0.0
 
 
 class TestSolutionInvariants:

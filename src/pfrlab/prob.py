@@ -4,9 +4,11 @@ Distributions, conditional kernels, information measures (all in bits), and
 seeded sampling.  Randomness is counter-based and splittable: every stream is
 SHA-256 in counter mode keyed by (seed, labels...), so sub-streams are
 reproducible and independent of the order in which trials are run.
+
+Every digest comes from _sha256, CPython's built-in SHA-256.  hashlib's, slower
+per one-block message and loading OpenSSL (3.7 MB of a 36 MB peak), is the fallback.
 """
 
-import hashlib
 import math
 import struct
 from dataclasses import dataclass
@@ -15,6 +17,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AbsoluteContinuityViolated, UnsupportedOutput
+
+try:  # 3.12+
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:  # 3.10 and 3.11
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 SymbolId = int
 
@@ -29,7 +39,7 @@ def _frame(parts) -> bytes:
 
 def _kdf(*parts: bytes) -> bytes:
     """Collision-resistant key derivation: SHA-256 over length-prefixed parts."""
-    return hashlib.sha256(_frame(parts)).digest()
+    return _sha256(_frame(parts)).digest()
 
 
 def _kdf_many(heads, middles, tails) -> list:
@@ -41,7 +51,7 @@ def _kdf_many(heads, middles, tails) -> list:
     widths = set(map(len, middles))
     if len(widths) > 1:
         raise ValueError("_kdf_many needs middles of one length")
-    sha256, tail = hashlib.sha256, _frame(tails)
+    sha256, tail = _sha256, _frame(tails)
     head = _frame(heads) + struct.pack(">I", widths.pop() if widths else 0)
     return [sha256(head + m + tail).digest() for m in middles]
 
@@ -53,7 +63,7 @@ def key_words(keys, first: int, count: int) -> np.ndarray:
     same block-aligned position.  Block c is SHA-256(key || c as 8 big-endian
     bytes), 4 words each, as in RngState.uint64.
     """
-    sha256 = hashlib.sha256
+    sha256 = _sha256
     counters = [c.to_bytes(8, "big") for c in range(first, first + count)]
     buf = b"".join([sha256(k + c).digest() for k in keys for c in counters])
     return np.frombuffer(buf, dtype=">u8").reshape(len(keys), 4 * count)
@@ -61,7 +71,7 @@ def key_words(keys, first: int, count: int) -> np.ndarray:
 
 def block_words(keys, blocks) -> np.ndarray:
     """Words 4*c .. 4*c + 3 of RngState(key) for each key and its block c."""
-    sha256 = hashlib.sha256
+    sha256 = _sha256
     buf = b"".join([sha256(k + c.to_bytes(8, "big")).digest()
                     for k, c in zip(keys, blocks)])
     return np.frombuffer(buf, dtype=">u8").reshape(-1, 4)
@@ -153,8 +163,7 @@ class RngState:
         avail = len(self._buf) - self._pos
         if avail < need:
             blocks = [self._buf[self._pos:]] if avail else []
-            key, sha256 = self._key, hashlib.sha256
-            c = self._counter
+            key, sha256, c = self._key, _sha256, self._counter
             missing = need - avail
             for _ in range((missing + 31) // 32):
                 blocks.append(sha256(key + c.to_bytes(8, "big")).digest())

@@ -1,4 +1,3 @@
-import hashlib
 import math
 from types import SimpleNamespace
 
@@ -10,6 +9,9 @@ from pfrlab import DistortionMatrix, FinitePmf, codebook, prob, solve_at_distort
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
+# prob's own SHA-256 constructor, taken before any test substitutes another
+SHA256 = prob._sha256
+
 
 def binary_entropy(p: float) -> float:
     if p in (0.0, 1.0):
@@ -17,20 +19,24 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
 
 
+def substitute_sha256(monkeypatch, sha256=SHA256):
+    """Make every hashing site of prob call sha256 in place of its SHA-256
+    constructor, until the test ends; the default puts prob's own back."""
+    monkeypatch.setattr(prob, "_sha256", sha256)
+
+
 def patch_first_words(monkeypatch, words):
     """Make prob's SHA-256 of each counter block in words (key + 8-byte counter)
     start with the given 64-bit word, for the streaming and batched readers alike.
     """
-    real = hashlib.sha256
-
     def sha256(data=b""):
-        h = real(data)
+        h = SHA256(data)
         if data not in words:
             return h
         return SimpleNamespace(
             digest=lambda: words[data].to_bytes(8, "big") + h.digest()[8:])
 
-    monkeypatch.setattr(prob, "hashlib", SimpleNamespace(sha256=sha256))
+    substitute_sha256(monkeypatch, sha256)
 
 
 def record_replays(monkeypatch):

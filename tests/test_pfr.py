@@ -1,4 +1,3 @@
-import hashlib
 import math
 
 import numpy as np
@@ -11,11 +10,11 @@ from pfrlab import (AbsoluteContinuityViolated, FinitePmf, GwModel, Kernel, Seed
                     expected_log_k_bound, geometric_parameter_exact,
                     kl_divergence, mutual_information, pfr_select,
                     solve_at_distortion)
-from pfrlab import codebook, prob
+from pfrlab import codebook
 from pfrlab.codebook import draw_points, stream_keys
 from pfrlab.redundancy import _SPAN, _round_points, select_span
 from conftest import (PROPERTY, binary_entropy, patch_first_words, record_replays,
-                      uniform_hamming)
+                      substitute_sha256, uniform_hamming)
 
 # a span narrower than the sweep's: more rounds per scan, spans cross it
 NARROW = 128
@@ -392,7 +391,7 @@ class TestBatchedScanProperty:
         assert replays == [0]
         got = list(zip(ks.tolist(), ys.tolist()))
         assert got == streaming(seed, trials, [target], xs, proposal)
-        monkeypatch.setattr(prob, "hashlib", hashlib)
+        substitute_sha256(monkeypatch)
         assert got != streaming(seed, trials, [target], xs, proposal)
 
     def test_zero_gap_in_a_later_round_replays_from_its_start(self, monkeypatch):
@@ -412,7 +411,7 @@ class TestBatchedScanProperty:
         assert replays == [8] and ks[victim] == 75
         got = list(zip(ks.tolist(), ys.tolist()))
         assert got == streaming(seed, trials, targets, xs, proposal)
-        monkeypatch.setattr(prob, "hashlib", hashlib)
+        substitute_sha256(monkeypatch)
         assert got != streaming(seed, trials, targets, xs, proposal)
 
     def test_top_mark_word_draws_in_the_support(self, monkeypatch):

@@ -4,13 +4,12 @@ here rather than only in a benchmark run.  The counts cover every path a run
 takes: key derivation, the batched engine, the streaming cross-checks, and
 the Gray-Wyner decode."""
 
-import hashlib
 import json
-from types import SimpleNamespace
 
 import pytest
 
-from pfrlab import codebook, prob
+from conftest import SHA256, substitute_sha256
+from pfrlab import codebook
 from pfrlab.cli import main
 from test_golden import TRIALS, demo, hamming
 
@@ -36,7 +35,7 @@ def test_digests_points_and_rounds(tmp_path, monkeypatch, case):
 
     def sha256(data=b""):
         work["digests"] += 1
-        return hashlib.sha256(data)
+        return SHA256(data)
 
     def draw_points(gap_keys, mark_keys, cum, start, n, clock):
         work["points"] += len(gap_keys) * n
@@ -44,7 +43,7 @@ def test_digests_points_and_rounds(tmp_path, monkeypatch, case):
         return draw(gap_keys, mark_keys, cum, start, n, clock)
 
     draw = codebook.draw_points
-    monkeypatch.setattr(prob, "hashlib", SimpleNamespace(sha256=sha256))
+    substitute_sha256(monkeypatch, sha256)
     monkeypatch.setattr(codebook, "draw_points", draw_points)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config()))

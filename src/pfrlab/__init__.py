@@ -14,15 +14,15 @@ from .codebook import CodebookStream, MarkedPoint, arrival_stream, derive_subsee
 from .errors import (AbsoluteContinuityViolated, DegenerateTarget,
                      MalformedCodeword, NotConverged, PfrlabError,
                      RoundTripMismatch, TargetOutOfRange, UnsupportedEta,
-                     UnsupportedOutput, UnsupportedPoint)
+                     UnsupportedPoint)
 from .gray_wyner import (GwModel, GwResult, ResortedStream, gw_decode,
                          gw_dominance_params, gw_encode, gw_records_to_csv,
                          gw_run_trials, resort_tables)
 from .pfr import (PfrResult, dominance_parameter, expected_log_k_bound,
                   geometric_parameter_exact, pfr_select)
 from .prob import (DistortionMatrix, FinitePmf, Kernel, RngState, Seed,
-                   SymbolId, entropy, information_density, kl_divergence,
-                   mutual_information, sample_pmf)
+                   SymbolId, entropy, kl_divergence, mutual_information,
+                   sample_pmf)
 from .rd import RdSolution, ba_fixed_slope, solve_at_distortion, tilted_information
 from .redundancy import (CODE_KINDS, ETA_KINDS, TailEstimate, TrialSummary,
                          bound_rhs, estimate_tail, records_to_csv, run_trials,
@@ -37,13 +37,13 @@ __all__ = [
     "MarkedPoint", "NotConverged", "PfrResult", "PfrlabError", "RdSolution",
     "ResortedStream", "RngState", "RoundTripMismatch", "Seed", "SymbolId",
     "TailEstimate", "TargetOutOfRange", "TrialSummary", "UnsupportedEta",
-    "UnsupportedOutput", "UnsupportedPoint", "arrival_stream", "ba_fixed_slope",
+    "UnsupportedPoint", "arrival_stream", "ba_fixed_slope",
     "bound_rhs", "decode_delta", "decode_plain", "delta_code_length",
     "delta_length_calculus", "derive_subseed", "dominance_parameter",
     "encode_delta", "encode_plain", "entropy", "estimate_tail",
     "expected_log_k_bound", "geometric_parameter_exact", "gw_decode",
     "gw_dominance_params", "gw_encode", "gw_records_to_csv", "gw_run_trials",
-    "information_density", "kl_divergence", "mutual_information",
+    "kl_divergence", "mutual_information",
     "pfr_select", "plain_code_length", "records_to_csv", "resort_tables",
     "run_trials", "sample_pmf", "solve_at_distortion", "summary_stats",
     "tilted_information",

@@ -92,7 +92,6 @@ def _pmf(v, field: str) -> FinitePmf:
 
 @dataclass
 class ExperimentConfig:
-    mode: str
     source: FinitePmf
     distortion: DistortionMatrix
     target_D: float
@@ -205,7 +204,7 @@ def load_config(path: str, mode: str, trials_override=None,
         gw_model = _build(GwModel, "gray_wyner", joint_source=mats["joint_source"],
                           **kernels)
 
-    return ExperimentConfig(mode=mode, source=source, distortion=distortion,
+    return ExperimentConfig(source=source, distortion=distortion,
                             target_D=target_d, trials=trials, seed=seed,
                             gamma_grid=gamma_grid, pfr_target=pfr_target,
                             pfr_proposal=pfr_proposal, gw_model=gw_model)

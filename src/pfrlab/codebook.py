@@ -15,14 +15,17 @@ of most times.  CodebookStream produces one group per refill;
 arithmetic.  Its reads are whole SHA-256 blocks of 4 words, so a round may
 stop mid-group: each stream then carries the group's base time and its
 partial sum, and the next round goes on with points 5-8 of the group.
-:func:`scan_rounds` runs such rounds for a span of streams; a stream whose
-drawn gaps hold a zero is replayed from there on by a CodebookStream, so
-this module alone knows how a zero gap is regenerated.
+:func:`scan_rounds` runs such rounds for a span of streams, in blocks or
+groups sized from the scans' expected length (:func:`_round_points`); a
+stream whose drawn gaps hold a zero is replayed from there on by a
+CodebookStream, so this module alone knows how a zero gap is regenerated.
+A round's size changes how many points are drawn, never what a scan sees.
 
 Nothing is ever materialized: points are produced on demand and discarded
 by the caller once a stopping rule fires.
 """
 
+import math
 import struct
 from itertools import islice
 from typing import NamedTuple
@@ -33,6 +36,9 @@ from .prob import (FinitePmf, RngState, Seed, SymbolId, _encode_label, _kdf,
                    _kdf_many, block_words, key_words, unit_interval, unit_interval_oc)
 
 _BLOCK = 8
+# the point budget of a round of scan_rounds (which still draws at least
+# one block a scan) and of a Gray-Wyner chunk's rows times its longest scan
+MAX_POINTS = 2 ** 18
 
 
 class MarkedPoint(NamedTuple):
@@ -100,13 +106,38 @@ def draw_points(gap_keys, mark_keys, cum: np.ndarray, start: int, n: int,
     return times, marks, ~gaps.all(axis=1), np.array(clock)
 
 
-def scan_rounds(keys, law: FinitePmf, n: int, step) -> None:
-    """Rounds of the next n points of each live stream i of a span (gap key
-    keys[0][i], mark key keys[1][i], marks from law) until step(live, start,
-    times, marks) says it needs no more.  Every row step sees is exact: a row
-    whose round holds a zero gap is replayed by a CodebookStream from point
-    start on, for that round and every later one."""
+def _round_points(scan: float, rows: int) -> int:
+    """Points each round draws per unfinished scan of a span of rows scans,
+    where a scan examines about scan + 1 points: one 4-point SHA-256 block
+    where about 2 sqrt(scan + 1) points is at most that, else whole 8-point
+    time groups, about 2 sqrt(scan + 1) points and at least one group.
+
+    A scan has a long geometric-like tail.  A round of n points overshoots
+    a scan's stop by about n / 2 points, and a span needs about
+    (scan + 1) ln(rows) / n rounds, each with a fixed cost of some 100 us of
+    numpy calls.  The sum of the two is least at n proportional to
+    sqrt(scan + 1); at 1024 rows and scan = 32 that is one time group (8
+    points) per round, so each scan draws its examined points rounded up to
+    whole groups, and at scan <= 3 one block.  The round is capped at
+    MAX_POINTS // rows points per scan, so it draws at most MAX_POINTS.
+    """
+    size = 2.0 * math.sqrt(scan + 1.0)
+    if size <= 4.0:
+        return 4
+    cap = max(1, MAX_POINTS // (rows * _BLOCK))
+    return _BLOCK * max(1, round(min(size / _BLOCK, cap)))
+
+
+def scan_rounds(keys, law: FinitePmf, scan: float, step) -> None:
+    """Rounds of the next _round_points(scan, rows) points of each live stream
+    i of a span of rows (gap key keys[0][i], mark key keys[1][i], marks from
+    law) until step(live, start, times, marks) says it needs no more; the
+    longest of the span's scans is expected to examine about scan + 1 points.
+    Every row step sees is exact: a row whose round holds a zero gap is
+    replayed by a CodebookStream from point start on, for that round and
+    every later one."""
     gap_keys, mark_keys = keys
+    n = _round_points(scan, len(gap_keys))
     cum, replays = law.cumulative(), {}
     live, clock, start = np.arange(len(gap_keys)), np.zeros((2, len(gap_keys))), 0
     while live.size:

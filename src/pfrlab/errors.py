@@ -9,10 +9,6 @@ class AbsoluteContinuityViolated(PfrlabError, ValueError):
     """p puts mass where q has none (p is not absolutely continuous w.r.t. q)."""
 
 
-class UnsupportedOutput(PfrlabError, ValueError):
-    """An output symbol has zero marginal probability where positive mass is required."""
-
-
 class DegenerateTarget(PfrlabError, ValueError):
     """Target distribution has no positive mass."""
 

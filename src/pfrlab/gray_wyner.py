@@ -18,9 +18,10 @@ in re-sorted order, both on codebook.scan_rounds, which replays a stream
 whose drawn gaps hold a zero.  It then decodes the chunk with the same stream
 keys, as an independent replay with its own rounds and stop rule, and raises
 RoundTripMismatch at the first trial whose decode differs.  A chunk holds
-_SPAN trials, or fewer where they would pass 2^18 points at the model's
-longest expected private scan.  The gray-wyner command also replays its
-first 32 trials through gw_encode and gw_decode as a check."""
+_SPAN trials, or fewer where they would pass codebook.MAX_POINTS points at
+the model's longest expected private scan (GwModel.chunk_width).  The
+gray-wyner command also replays its first 32 trials through gw_encode and
+gw_decode as a check."""
 
 import heapq
 import math
@@ -31,14 +32,13 @@ from itertools import islice
 import numpy as np
 
 from .bitcodes import plain_code_length
-from .codebook import (CodebookStream, MarkedPoint, arrival_stream, nth_marks,
-                       scan_rounds, stream_keys)
+from .codebook import (MAX_POINTS, CodebookStream, MarkedPoint, arrival_stream,
+                       nth_marks, scan_rounds, stream_keys)
 from .errors import RoundTripMismatch, UnsupportedPoint
 from .pfr import pfr_scan_rows, pfr_select
 from .prob import (FinitePmf, Kernel, Seed, SymbolId, _frozen_array,
                    information_density_table, mutual_information, weighted_kl)
-from .redundancy import (_SPAN, _per_k, _round_points, _write_table, select_span,
-                         trial_chunks)
+from .redundancy import _SPAN, _per_k, _write_table, select_span, trial_chunks
 
 GW_CSV_HEADER = "trial,x1,x2,u,y1,y2,k0,k1,k2,len0,len1,len2"
 
@@ -118,21 +118,14 @@ class GwModel:
                            [side.target(x, u) for u in range(side.nu) for x in xs],
                            [q for q in side.cond_pmfs for _ in xs])
 
-    def conditional_triple_law(self, x1: SymbolId, x2: SymbolId) -> np.ndarray:
-        """Law of (u, y1, y2) given the source pair, as a (nu, ny1, ny2) array."""
-        pu = self.u_target(x1, x2).probs
-        s1, s2 = self.sides
-        return np.stack([pu[u] * np.outer(s1.target(x1, u).probs, s2.target(x2, u).probs)
-                         for u in range(self.nu)])
-
     @cached_property
     def chunk_width(self) -> int:
         """Trials per chunk of gw_run_trials: _SPAN, or fewer where they times the
-        longest expected private scan would pass 2^18 points.  That scan is the
-        max of r[u] f_max over the drawable (x, u) rows of both sides."""
+        longest expected private scan would pass MAX_POINTS points.  That scan
+        is the max of r[u] f_max over the drawable (x, u) rows of both sides."""
         scan = max((s.r * s.f_max.reshape(-1, self.nu))[s.p_x_u > 0].max()
                    for s in self.sides)
-        return int(max(1, min(_SPAN, 2 ** 18 // scan)))
+        return int(max(1, min(_SPAN, MAX_POINTS // scan)))
 
 
 @dataclass(frozen=True)
@@ -270,8 +263,8 @@ class GwSide:
             k[live], y[live] = col + 1, marks[at, col]
             return ~done
 
-        n = bound.max() if ks is None else np.mean(r * ks)
-        scan_rounds(keys, self.p_y, _round_points(float(n), len(us)), step)
+        scan = bound.max() if ks is None else np.mean(r * ks)
+        scan_rounds(keys, self.p_y, float(scan), step)
         return k, y
 
 

@@ -9,14 +9,13 @@ Every digest comes from _sha256, CPython's built-in SHA-256.  hashlib's, slower
 per one-block message and loading OpenSSL (3.7 MB of a 36 MB peak), is the fallback.
 """
 
-import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import AbsoluteContinuityViolated, UnsupportedOutput
+from .errors import AbsoluteContinuityViolated
 
 try:  # 3.12+
     from _sha2 import sha256 as _sha256
@@ -130,9 +129,6 @@ class Seed:
     def from_int(cls, n: int) -> "Seed":
         """Convenience for tests: embed a small integer into a full-width seed."""
         return cls(n.to_bytes(32, "big"))
-
-    def hex(self) -> str:
-        return self.value.hex()
 
     def stream(self, *labels) -> "RngState":
         """Labeled substream: distinct label tuples give independent streams."""
@@ -310,17 +306,6 @@ def weighted_kl(weights, pmfs, laws) -> float:
 def kl_divergence(p: FinitePmf, q: FinitePmf) -> float:
     """KL divergence in bits; requires p absolutely continuous w.r.t. q."""
     return weighted_kl((1.0,), (p,), (q,))
-
-
-def information_density(joint: Kernel, px: FinitePmf, x: SymbolId, y: SymbolId) -> float:
-    """log2 of joint[x][y] over the output marginal at y; -inf when joint[x][y] = 0."""
-    py = float(px.probs @ joint.rows[:, y])
-    if py == 0.0:
-        raise UnsupportedOutput(f"output symbol {y} has zero marginal probability")
-    w = float(joint.rows[x, y])
-    if w == 0.0:
-        return float("-inf")
-    return math.log2(w / py)
 
 
 def information_density_table(rows: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -105,7 +105,9 @@ def ba_fixed_slope(source: FinitePmf, d: DistortionMatrix, s: float,
         return _zero_rate_solution(source, d)
 
     p = source.probs
-    a = np.exp2(-s * d.d)
+    # an overflowed -s * d is -inf or +inf, whose exp2 (0 or inf) is the limit
+    with np.errstate(over="ignore"):
+        a = np.exp2(-s * d.d)
     m = d.shape[1]
     q = np.full(m, 1.0 / m)
     iters = 0
@@ -200,5 +202,6 @@ def tilted_information(sol: RdSolution, x: SymbolId, delta: float) -> float:
     mask = q > 0
     lam = sol.slope_lambda
     drow = sol.distortion_matrix.d[x]
-    val = float(np.dot(q[mask], np.exp2(-lam * (drow[mask] - delta))))
+    with np.errstate(over="ignore"):  # as in ba_fixed_slope
+        val = float(np.dot(q[mask], np.exp2(-lam * (drow[mask] - delta))))
     return -math.log2(val)

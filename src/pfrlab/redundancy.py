@@ -27,10 +27,11 @@ codebook.scan_rounds draws the next points of every unfinished scan and
 applies the stop rule to all of them with pfr_scan_rows.  The results equal
 those of one pfr_select per trial, bit for bit, whatever the span and round
 sizes; scan_rounds itself replays a stream whose drawn gaps hold a zero.
-The sweep selects over spans of _SPAN = 1024 trials, where rounds
-of one 8-point time group, or one 4-point SHA-256 block at f_max <= 3, are
-cheap enough that each scan draws just the groups or blocks its stop rule
-examines (:func:`_round_points`).
+The sweep selects over spans of _SPAN = 1024 trials, where scan_rounds
+sizes rounds of one 8-point time group, or one 4-point SHA-256 block at
+f_max <= 3, so each scan draws just the groups or blocks its stop rule
+examines.  Every table a solution needs, for the trials and for the bound
+sums, comes from one cached build (:func:`_tables`).
 """
 
 import math
@@ -40,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bitcodes import delta_code_length, plain_code_length
-from .codebook import _BLOCK, scan_rounds, span_keys, stream_keys
+from .codebook import scan_rounds, span_keys, stream_keys
 from .errors import UnsupportedEta
 from .pfr import _ratio_rows, pfr_scan_rows
 from .prob import FinitePmf, Seed, entropy, information_density_table, sample_pmf_keys
@@ -78,11 +79,15 @@ class TailEstimate:
 
 @lru_cache(maxsize=16)
 def _tables(sol: RdSolution):
-    """Per-(x, y) lookup tables shared by the trial loop and the bound sums.
+    """Every per-solution table, built once: (iota, j_x, j_xd, bound).
 
-    Built once per solution.  j(x, d(x, y)) is evaluated once per distinct
-    distortion level in row x; the affine form j(x, D) - lambda* (d(x, y) - D)
-    is not bit-identical (it turns an exact -0 into -1.1e-16 in the CSV).
+    iota, j_x and j_xd are the per-(x, y) lookups of the trial loop.  j(x,
+    d(x, y)) is evaluated once per distinct distortion level in row x; the
+    affine form j(x, D) - lambda* (d(x, y) - D) is not bit-identical (it
+    turns an exact -0 into -1.1e-16 in the CSV).  bound holds bound_rhs's
+    tables that do not depend on gamma: on the (x, y) where source x kernel
+    is positive, those weights, iota, 2^iota + 1 and the eta column of each
+    kind.
     """
     iota = information_density_table(sol.kernel.rows, sol.output_marginal.probs)
     nx = iota.shape[0]
@@ -91,7 +96,11 @@ def _tables(sol: RdSolution):
     for x, drow in enumerate(sol.distortion_matrix.d):
         levels, at = np.unique(drow, return_inverse=True)
         j_xd[x] = np.array([tilted_information(sol, x, float(v)) for v in levels])[at]
-    return iota, j_x, j_xd
+    w = sol.source.probs[:, None] * sol.kernel.rows
+    mask = w > 0.0
+    etas = dict(PRR=np.full(mask.sum(), sol.rate),
+                PSR=np.broadcast_to(j_x[:, None], w.shape)[mask], PSDR=j_xd[mask])
+    return iota, j_x, j_xd, (w[mask], iota[mask], np.exp2(iota[mask]) + 1.0, etas)
 
 
 def chunk_spans(n: int, width: int):
@@ -109,36 +118,14 @@ def trial_chunks(source: FinitePmf, seed: Seed, n: int, width: int):
         yield span, sample_pmf_keys(source, keys)
 
 
-def _round_points(f_max: float, rows: int) -> int:
-    """Points each round draws per unfinished scan: one 4-point SHA-256 block
-    where about 2 sqrt(f_max + 1) points is at most that, else whole 8-point
-    time groups, about 2 sqrt(f_max + 1) points and at least one group.
-
-    A scan examines about f_max + 1 points, with a long geometric-like tail.
-    A round of n points overshoots a scan's stop by about n / 2 points, and
-    a span of rows scans needs about (f_max + 1) ln(rows) / n rounds, each
-    with a fixed cost of some 100 us of numpy calls.  The sum of the two is
-    least at n proportional to sqrt(f_max + 1); at 1024 rows and f_max = 32
-    that is one time group (8 points) per round, so each scan draws its
-    examined points rounded up to whole groups, and at f_max <= 3 one block.
-    The round is capped at 2^18 // rows points per scan, so it draws at most
-    2^18 points.
-    """
-    size = 2.0 * math.sqrt(f_max + 1.0)
-    if size <= 4.0:
-        return 4
-    cap = max(1, 2 ** 18 // (rows * _BLOCK))
-    return _BLOCK * max(1, round(min(size / _BLOCK, cap)))
-
-
 def select_span(keys, targets, xs, proposal: FinitePmf):
     """(k, y) arrays of pfr_select(targets[xs[i]], proposal, stream i), batched.
 
     Stream i has gap key keys[0][i] and mark key keys[1][i], as stream_keys
     gives them, and marks from proposal.  The results equal the streaming
-    scan's, bit for bit, whatever the span.  Rounds follow _round_points at the
-    span's largest f_max, so a round's arrays hold at most 2^18 points; the
-    other working arrays grow with the span.
+    scan's, bit for bit, whatever the span.  scan_rounds sizes the rounds from
+    the span's largest f_max, so a round's arrays hold at most
+    codebook.MAX_POINTS points; the other working arrays grow with the span.
     """
     f, f_max = _ratio_rows(tuple(targets), proposal)
     k, y = np.zeros((2, len(xs)), dtype=np.int64)
@@ -155,7 +142,7 @@ def select_span(keys, targets, xs, proposal: FinitePmf):
         y[won] = marks[better, col[better]]
         return stop == times.shape[1]
 
-    scan_rounds(keys, proposal, _round_points(float(scale.max()), len(xs)), step)
+    scan_rounds(keys, proposal, float(scale.max()), step)
     return k, y
 
 
@@ -168,7 +155,7 @@ def _per_k(k: np.ndarray, *fns) -> tuple:
 def trial_tables(sol: RdSolution, n: int, seed: Seed):
     """run_trials' table one span of _SPAN trials at a time: each yield holds
     the columns of rows span.start..span.stop, so memory does not grow with n."""
-    iota, j_x, j_xd = _tables(sol)
+    iota, j_x, j_xd, _ = _tables(sol)
     targets, q, rate, d = (sol.kernel.pmfs, sol.output_marginal, sol.rate,
                            sol.distortion_matrix.d)
     for span, x in trial_chunks(sol.source, seed, n, _SPAN):
@@ -216,19 +203,6 @@ def _exp2(e: float) -> float:
     return 2.0 ** e if e < 1024.0 else math.inf
 
 
-@lru_cache(maxsize=16)
-def _bound_tables(sol: RdSolution) -> tuple:
-    """bound_rhs's tables that do not depend on gamma, built once per solution:
-    on the (x, y) where source x kernel is positive, those weights, iota,
-    2^iota + 1 and the eta column of each kind."""
-    iota, j_x, j_xd = _tables(sol)
-    w = sol.source.probs[:, None] * sol.kernel.rows
-    mask = w > 0.0
-    etas = dict(PRR=np.full(mask.sum(), sol.rate),
-                PSR=np.broadcast_to(j_x[:, None], w.shape)[mask], PSDR=j_xd[mask])
-    return w[mask], iota[mask], np.exp2(iota[mask]) + 1.0, etas
-
-
 def bound_rhs(sol: RdSolution, eta_kind: str, code_kind: str, gamma: float,
               variant: str = "") -> float:
     """Exact right-hand side of the applicable tail bound, an expectation over
@@ -250,7 +224,7 @@ def bound_rhs(sol: RdSolution, eta_kind: str, code_kind: str, gamma: float,
     if variant.startswith("psdr") and eta_kind != "PSDR":
         raise UnsupportedEta(f"variant {variant!r} applies to PSDR only")
 
-    weights, iota, iota_up, etas = _bound_tables(sol)
+    weights, iota, iota_up, etas = _tables(sol)[3]
     eta = etas[eta_kind]
     if variant == "general":
         return _exp2(-gamma + 1.0) * float(np.dot(weights, np.exp2(-eta) * iota_up))

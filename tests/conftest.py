@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from pfrlab import DistortionMatrix, FinitePmf, codebook, prob, solve_at_distortion
+from pfrlab import (DistortionMatrix, FinitePmf, PfrlabError, codebook, prob,
+                    solve_at_distortion)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -74,6 +75,31 @@ def iota_reference(rows, q):
                         np.log2(np.divide(rows, q[None, :],
                                           out=np.ones_like(rows), where=q > 0)),
                         -np.inf)
+
+
+class UnsupportedOutput(PfrlabError, ValueError):
+    """An output symbol has zero marginal probability where positive mass is required."""
+
+
+def information_density(joint, px, x, y):
+    """log2 of joint[x][y] over the output marginal at y, one entry at a time:
+    -inf when joint[x][y] = 0, UnsupportedOutput when the marginal is 0."""
+    py = float(px.probs @ joint.rows[:, y])
+    if py == 0.0:
+        raise UnsupportedOutput(f"output symbol {y} has zero marginal probability")
+    w = float(joint.rows[x, y])
+    if w == 0.0:
+        return float("-inf")
+    return math.log2(w / py)
+
+
+def conditional_triple_law(model, x1, x2):
+    """Law of (u, y1, y2) given the source pair of a GwModel, as a (nu, ny1, ny2)
+    array."""
+    pu = model.u_target(x1, x2).probs
+    s1, s2 = model.sides
+    return np.stack([pu[u] * np.outer(s1.target(x1, u).probs, s2.target(x2, u).probs)
+                     for u in range(model.nu)])
 
 
 def head(table, n):

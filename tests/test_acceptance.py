@@ -16,11 +16,11 @@ from pfrlab import (FinitePmf, GwModel, Kernel, Seed, arrival_stream,
                     bound_rhs, decode_delta, decode_plain, delta_code_length,
                     derive_subseed, dominance_parameter, encode_delta,
                     encode_plain, entropy, estimate_tail,
-                    geometric_parameter_exact, gw_run_trials,
-                    information_density, kl_divergence, pfr_select,
-                    plain_code_length, run_trials, solve_at_distortion,
-                    summary_stats, tilted_information)
-from conftest import binary_entropy, group_rows, rows, uniform_hamming
+                    geometric_parameter_exact, gw_run_trials, kl_divergence,
+                    pfr_select, plain_code_length, run_trials,
+                    solve_at_distortion, summary_stats, tilted_information)
+from conftest import (binary_entropy, conditional_triple_law, group_rows,
+                      information_density, rows, uniform_hamming)
 
 ACC_SEED = Seed.from_hex("5f2e" * 16)
 
@@ -236,7 +236,7 @@ def test_criterion_11_gray_wyner():
         for (x1, x2), rs in group_rows(table, "x1", "x2").items():
             if len(rs) < 10_000:
                 continue
-            law = model.conditional_triple_law(x1, x2)
+            law = conditional_triple_law(model, x1, x2)
             emp = np.zeros_like(law)
             for key, cnt in Counter(triples[i] for i in rs).items():
                 emp[key] = cnt / len(rs)

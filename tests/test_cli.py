@@ -4,6 +4,7 @@ import json
 import math
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -526,6 +527,19 @@ class TestExitCodeFuzz:
     @example(case=("gw_common_bit.json", 50, TINY_U_ROW))
     def test_every_exit_is_documented(self, case):
         assert run_mutated(*case) in {0, 1, 2, 3, 4}
+
+    @pytest.mark.parametrize("distortion, code", [
+        ([["0", "1e308"], ["1e308", "0"]], 3),
+        # -s * d overflows in the BA solve and the tilted information
+        ([["0", "1e308"], ["1", "0"]], 0),
+        # -s * d is finite, but its exp2 overflows in the tilted information
+        ([["0", "1e300"], ["1", "0"]], 0)])
+    def test_huge_distortions_exit_without_warnings(self, distortion, code):
+        # 2^-inf = 0 and 2^inf = inf are the intended limits of an overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_mutated("bsc_sweep.json", 50,
+                               ((("distortion",), distortion),)) == code
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_unresortable_gw_model_exit_2(self, capsys):

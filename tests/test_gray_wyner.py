@@ -14,8 +14,8 @@ from pfrlab import gray_wyner, redundancy
 from pfrlab.codebook import stream_keys
 from pfrlab.gray_wyner import GW_CSV_HEADER, gw_decode_chunk
 from pfrlab.redundancy import chunk_spans
-from conftest import (PROPERTY, assert_same_table, group_rows, iota_reference,
-                      patch_first_words, record_replays, rows)
+from conftest import (PROPERTY, assert_same_table, conditional_triple_law, group_rows,
+                      iota_reference, patch_first_words, record_replays, rows)
 
 SEED = Seed.from_int(99)
 
@@ -181,7 +181,7 @@ class TestLaws:
             sel = [triples[i] for i in at]
             if len(sel) < 10_000:
                 continue
-            law = m.conditional_triple_law(x1, x2)
+            law = conditional_triple_law(m, x1, x2)
             emp = np.zeros_like(law)
             for key, cnt in Counter(sel).items():
                 emp[key] = cnt / len(sel)

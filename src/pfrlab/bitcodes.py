@@ -12,7 +12,6 @@ Two codes for positive integers k:
 Bit order is MSB-first within every field.
 """
 
-import math
 from dataclasses import dataclass
 
 from .errors import MalformedCodeword
@@ -30,15 +29,6 @@ class BitString:
 
     def __len__(self) -> int:
         return len(self.bits)
-
-    def __getitem__(self, i) -> int:
-        return int(self.bits[i])
-
-    def __add__(self, other: "BitString") -> "BitString":
-        return BitString(self.bits + other.bits)
-
-    def __iter__(self):
-        return (int(c) for c in self.bits)
 
 
 def encode_plain(k: int) -> BitString:
@@ -87,17 +77,3 @@ def delta_code_length(k: int) -> int:
     """|encode_delta(k)| without building the code."""
     n = k.bit_length()
     return n + 2 * n.bit_length() - 2
-
-
-def delta_length_calculus(a: float) -> tuple:
-    """The length calculus L(t) = t + 2 log2(t+1) + 1 and its inverse lower bound.
-
-    Returns (L(a), max{a - 2 log2([a]_+ + 1) - 1, 0}); the second value
-    lower-bounds L^{-1}(a) and is taken as 0 for a < 1.
-    """
-    if a < 0 or not math.isfinite(a):
-        big_l = float("nan")
-    else:
-        big_l = a + 2.0 * math.log2(a + 1.0) + 1.0
-    inv = max(a - 2.0 * math.log2(max(a, 0.0) + 1.0) - 1.0, 0.0)
-    return big_l, inv

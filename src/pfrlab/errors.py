@@ -9,10 +9,6 @@ class AbsoluteContinuityViolated(PfrlabError, ValueError):
     """p puts mass where q has none (p is not absolutely continuous w.r.t. q)."""
 
 
-class DegenerateTarget(PfrlabError, ValueError):
-    """Target distribution has no positive mass."""
-
-
 class NotConverged(PfrlabError, RuntimeError):
     """Iterative solver exhausted max_iter; carries the last iterate in ``last``."""
 

@@ -138,21 +138,12 @@ class GwResult:
     y2: SymbolId
 
 
-def resort_tables(base_law: FinitePmf, iota_row) -> tuple:
-    """Re-sort tables for one u: the scale row 2^{-iota(u; .)}, as a list, and
-    the release ratio r = max over drawable marks of 2^{iota(u; mark)}."""
-    row = np.asarray(iota_row, dtype=np.float64)
-    drawable = base_law.probs > 0
-    if np.any(np.isposinf(row[drawable])):
-        raise ValueError("iota(u; mark) must be < +inf for drawable marks")
-    return np.exp2(-row).tolist(), float(np.exp2(row[drawable]).max())
-
-
 class ResortedStream:
     """Base-stream points with times rescaled by 2^{-iota(u; mark)}, re-indexed ascending.
 
-    scale and r come from :func:`resort_tables`; mark_law is the conditional
-    law of the emitted marks given u.  A transformed point is released only
+    scale is the row 2^{-iota(u; .)} and r the release ratio, the max over
+    drawable marks of 2^{iota(u; mark)}; mark_law is the conditional law of
+    the emitted marks given u.  A transformed point is released only
     once the raw-time frontier exceeds (its transformed time) * r: no raw
     point generated later can map below it, so the emitted order is exact.
     Marks with iota = -inf map to infinite times and are never released.
@@ -213,8 +204,11 @@ class GwSide:
         self.p_y_given_u = cond
         self.cond_pmfs = Kernel(cond).pmfs
         self.iota = information_density_table(cond, self.p_y.probs)
-        self.scale, self.r = (np.array(a) for a in zip(
-            *(resort_tables(self.p_y, row) for row in self.iota)))
+        drawable = self.p_y.probs > 0
+        if np.isposinf(self.iota[:, drawable]).any():
+            raise ValueError("iota(u; mark) must be < +inf for drawable marks")
+        self.scale = np.exp2(-self.iota)
+        self.r = np.exp2(self.iota[:, drawable]).max(axis=1)
         q = np.tile(cond, (nx, 1))  # row x * nu + u: p(y | u), the proposal
         self.f = np.divide(kernel.rows, q, out=np.zeros_like(q), where=q > 0)
         self.f_max = self.f.max(axis=1)

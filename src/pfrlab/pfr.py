@@ -20,8 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AbsoluteContinuityViolated, DegenerateTarget
-from .prob import FinitePmf, Kernel, SymbolId, weighted_kl
+from .errors import AbsoluteContinuityViolated
+from .prob import FinitePmf, SymbolId
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,6 @@ def _density_ratio(target: FinitePmf, proposal: FinitePmf) -> np.ndarray:
     p, q = target.probs, proposal.probs
     if np.any((p > 0) & (q == 0)):
         raise AbsoluteContinuityViolated("target has mass where proposal is zero")
-    if not np.any(p > 0):
-        raise DegenerateTarget("target has no positive mass")
     with np.errstate(over="ignore"):
         f = np.divide(p, q, out=np.zeros_like(p), where=q > 0)
     # an infinite f_max would make the stop test inf * 0 = nan, never true
@@ -138,8 +136,3 @@ def dominance_parameter(target: FinitePmf, proposal: FinitePmf,
     if f[y] <= 0.0:
         raise ValueError(f"target({y}) must be positive")
     return 1.0 / (float(f[y]) + 1.0)
-
-
-def expected_log_k_bound(px: FinitePmf, k: Kernel, q: FinitePmf) -> float:
-    """Upper bound on E[log2 K]: the px-average of KL(k[x] || q), plus one bit."""
-    return weighted_kl(px.probs, k.pmfs, [q] * len(px)) + 1.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from pfrlab import (DistortionMatrix, FinitePmf, PfrlabError, codebook, prob,
+from pfrlab import (DistortionMatrix, FinitePmf, Kernel, PfrlabError, codebook, prob,
                     solve_at_distortion)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -91,6 +91,36 @@ def information_density(joint, px, x, y):
     if w == 0.0:
         return float("-inf")
     return math.log2(w / py)
+
+
+def delta_length_calculus(a: float) -> tuple:
+    """The length calculus L(t) = t + 2 log2(t+1) + 1 and its inverse lower bound.
+
+    Returns (L(a), max{a - 2 log2([a]_+ + 1) - 1, 0}); the second value
+    lower-bounds L^{-1}(a) and is taken as 0 for a < 1.
+    """
+    if a < 0 or not math.isfinite(a):
+        big_l = float("nan")
+    else:
+        big_l = a + 2.0 * math.log2(a + 1.0) + 1.0
+    inv = max(a - 2.0 * math.log2(max(a, 0.0) + 1.0) - 1.0, 0.0)
+    return big_l, inv
+
+
+def expected_log_k_bound(px: FinitePmf, k: Kernel, q: FinitePmf) -> float:
+    """Upper bound on E[log2 K]: the px-average of KL(k[x] || q), plus one bit."""
+    return prob.weighted_kl(px.probs, k.pmfs, [q] * len(px)) + 1.0
+
+
+def resort_tables(base_law: FinitePmf, iota_row) -> tuple:
+    """Re-sort tables for one u, one row at a time: the scale row
+    2^{-iota(u; .)}, as a list, and the release ratio r = max over drawable
+    marks of 2^{iota(u; mark)}."""
+    row = np.asarray(iota_row, dtype=np.float64)
+    drawable = base_law.probs > 0
+    if np.any(np.isposinf(row[drawable])):
+        raise ValueError("iota(u; mark) must be < +inf for drawable marks")
+    return np.exp2(-row).tolist(), float(np.exp2(row[drawable]).max())
 
 
 def conditional_triple_law(model, x1, x2):

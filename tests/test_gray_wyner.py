@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from pfrlab import (FinitePmf, GwModel, Kernel, ResortedStream, Seed,
                     UnsupportedPoint, arrival_stream, derive_subseed, gw_decode,
                     gw_dominance_params, gw_encode, gw_run_trials, kl_divergence,
-                    resort_tables, sample_pmf)
+                    sample_pmf)
 from pfrlab import gray_wyner, redundancy
 from pfrlab.codebook import stream_keys
 from pfrlab.gray_wyner import GW_CSV_HEADER, gw_decode_chunk
 from pfrlab.redundancy import chunk_spans
 from conftest import (PROPERTY, assert_same_table, conditional_triple_law, group_rows,
-                      iota_reference, patch_first_words, record_replays, rows)
+                      iota_reference, patch_first_words, record_replays, resort_tables,
+                      rows)
 
 SEED = Seed.from_int(99)
 

@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 
 from pfrlab import (AbsoluteContinuityViolated, FinitePmf, GwModel, Kernel, Seed,
                     arrival_stream, derive_subseed, dominance_parameter,
-                    expected_log_k_bound, geometric_parameter_exact,
-                    gw_run_trials, kl_divergence, mutual_information, pfr_select,
-                    run_trials, solve_at_distortion)
+                    geometric_parameter_exact, gw_run_trials, mutual_information,
+                    pfr_select, run_trials, solve_at_distortion)
 from pfrlab import codebook
 from pfrlab.cli import load_config
 from pfrlab.codebook import MAX_POINTS, _round_points, draw_points, stream_keys
 from pfrlab.redundancy import _SPAN, select_span
-from conftest import (PROPERTY, assert_same_table, binary_entropy, patch_first_words,
-                      record_replays, substitute_sha256, uniform_hamming)
+from conftest import (PROPERTY, assert_same_table, binary_entropy, expected_log_k_bound,
+                      patch_first_words, record_replays, substitute_sha256,
+                      uniform_hamming)
 
 # a span narrower than the sweep's: more rounds per scan, spans cross it
 NARROW = 128
@@ -156,7 +156,9 @@ class TestLaws:
     def test_expected_log_k_bound_holds(self):
         ks, _ = run_many(20_000)
         logk = np.log2(ks)
-        bound = kl_divergence(TARGET, UNIFORM) + 1.0
+        # one source symbol, whose kernel row is the target
+        bound = expected_log_k_bound(FinitePmf(np.ones(1)), Kernel(TARGET.probs[None, :]),
+                                     UNIFORM)
         assert logk.mean() + 3 * logk.std(ddof=1) / math.sqrt(ks.size) <= bound
 
     def test_stopping_rule_exactness(self):

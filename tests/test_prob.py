@@ -8,12 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pfrlab import (AbsoluteContinuityViolated, DistortionMatrix, FinitePmf,
-                    GwModel, Kernel, Seed, entropy, expected_log_k_bound,
-                    kl_divergence, mutual_information, sample_pmf)
+                    GwModel, Kernel, Seed, entropy, kl_divergence,
+                    mutual_information, sample_pmf)
 from pfrlab.prob import (RngState, _kdf, _kdf_many, information_density_table,
                          sample_pmf_keys)
-from conftest import (PROPERTY, UnsupportedOutput, binary_entropy, information_density,
-                      iota_reference, patch_first_words)
+from conftest import (PROPERTY, UnsupportedOutput, binary_entropy,
+                      expected_log_k_bound, information_density, iota_reference,
+                      patch_first_words)
 
 
 def pmf(*vals):
@@ -34,8 +35,9 @@ class TestValidation:
             pmf(1.2, -0.2)
 
     def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            pmf(0.5, 0.4)
+        for vals in ((0.5, 0.4), (0.0, 0.0)):
+            with pytest.raises(ValueError):
+                pmf(*vals)
 
     def test_kernel_rejects_bad_row(self):
         with pytest.raises(ValueError):

@@ -9,8 +9,9 @@ Exit codes:
     0  success, all requested checks pass
     1  a requested check failed (a bound or law violated empirically)
     2  config or flag parse/validation failure, including a null required
-       field, trials above MAX_TRIALS, a pfr.proposal whose density ratio
-       overflows, a target_D below the minimum distortion and an unusable --out
+       field, trials above MAX_TRIALS, a pfr.proposal or gray_wyner model
+       whose selection ratios overflow or put mass where a proposal has none,
+       a target_D below the minimum distortion and an unusable --out
     3  solver non-convergence
     4  gray-wyner round-trip mismatch (internal invariant breach)
 """
@@ -185,9 +186,7 @@ def load_config(path: str, mode: str, trials_override=None,
             pfr_target = source
         if pfr_proposal is None:
             pfr_proposal = FinitePmf.uniform(len(pfr_target))
-        if len(pfr_proposal) != len(pfr_target):
-            raise ConfigError("pfr.proposal", "alphabet differs from pfr.target")
-        _build(_density_ratio, "pfr.proposal", pfr_target, pfr_proposal)
+        _build(_density_ratio, "pfr.proposal", pfr_target.probs, pfr_proposal.probs)
 
     gw_model = None
     if "gray_wyner" in raw:

@@ -9,7 +9,8 @@ and re-indexed in ascending order, which conditionally on u is again a
 marked Poisson process whose marks follow the conditional law given u.
 
 Encoder and decoder share only the seed; replaying the streams reproduces
-the identical selections, so decoding is exact.
+the identical selections, so decoding is exact.  A GwModel divides and checks
+every density ratio its selections read (pfr._density_ratio) when it is built.
 
 gw_encode and gw_decode run one trial, re-sorting through a heap.  Batched,
 gw_run_trials encodes a chunk of trials to the same results: the common index
@@ -35,7 +36,7 @@ from .bitcodes import plain_code_length
 from .codebook import (MAX_POINTS, CodebookStream, MarkedPoint, arrival_stream,
                        nth_marks, scan_rounds, stream_keys)
 from .errors import RoundTripMismatch, UnsupportedPoint
-from .pfr import pfr_scan_rows, pfr_select
+from .pfr import _density_ratio, _ratio_rows, pfr_scan_rows, pfr_select
 from .prob import (FinitePmf, Kernel, Seed, SymbolId, _frozen_array,
                    information_density_table, mutual_information, weighted_kl)
 from .redundancy import _SPAN, _per_k, _write_table, select_span, trial_chunks
@@ -70,9 +71,9 @@ class GwModel:
             raise ValueError("y1_kernel must have n1*nu rows")
         if self.y2_kernel.shape[0] != n2 * nu:
             raise ValueError("y2_kernel must have n2*nu rows")
-        # the re-sort tables reject a model with iota(u; y) = +inf for a
-        # drawable y (a p(u) so small that 1 / p(y) overflows): build them now
+        # build every selection table now: a model they reject fails here, not in a run
         self.sides
+        _ratio_rows(self.u_targets, self.p_u)
 
     @property
     def n1(self) -> int:
@@ -96,6 +97,12 @@ class GwModel:
     @cached_property
     def p_u(self) -> FinitePmf:
         return self.u_kernel.output_marginal(self.source_pmf)
+
+    @cached_property
+    def u_targets(self) -> tuple:
+        """u_target per source pair, or p_u for a pair of probability 0 (never drawn)."""
+        return tuple(row if w > 0 else self.p_u
+                     for row, w in zip(self.u_kernel.pmfs, self.source_pmf.probs))
 
     @cached_property
     def sides(self) -> tuple:
@@ -207,10 +214,11 @@ class GwSide:
         drawable = self.p_y.probs > 0
         if np.isposinf(self.iota[:, drawable]).any():
             raise ValueError("iota(u; mark) must be < +inf for drawable marks")
-        self.scale = np.exp2(-self.iota)
+        with np.errstate(over="ignore"):  # inf: a mark that is never released
+            self.scale = np.exp2(-self.iota)
         self.r = np.exp2(self.iota[:, drawable]).max(axis=1)
-        q = np.tile(cond, (nx, 1))  # row x * nu + u: p(y | u), the proposal
-        self.f = np.divide(kernel.rows, q, out=np.zeros_like(q), where=q > 0)
+        self.f = _density_ratio(kernel.rows * (p_x_u.reshape(-1, 1) > 0),
+                                np.tile(cond, (nx, 1)))  # row x * nu + u: p(y | u)
         self.f_max = self.f.max(axis=1)
 
     def target(self, x: SymbolId, u: SymbolId) -> FinitePmf:
@@ -305,13 +313,10 @@ def gw_run_trials(model: GwModel, n: int, seed: Seed) -> dict:
     again from its keys; RoundTripMismatch names the first trial that decodes to
     another (u, y1, y2).
     Returns the trial table, a numpy column per field of GW_CSV_HEADER."""
-    # a pair of probability 0 is never drawn; p_u stands in for its u-target
-    u_rows = [row if w > 0 else model.p_u
-              for row, w in zip(model.u_kernel.pmfs, model.source_pmf.probs)]
     parts = []
     for span, pairs in trial_chunks(model.source_pmf, seed, n, model.chunk_width):
         keys = stream_keys(seed, span, "gw", "gw-u", "gw-y1", "gw-y2")
-        k0, u = select_span(keys[:2], u_rows, pairs, model.p_u)
+        k0, u = select_span(keys[:2], model.u_targets, pairs, model.p_u)
         x1, x2 = np.divmod(pairs, model.n2)
         (k1, y1), (k2, y2) = (side.scan_span(kk, u, xs=x) for side, kk, x
                               in zip(model.sides, (keys[2:4], keys[4:]), (x1, x2)))

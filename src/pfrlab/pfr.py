@@ -38,10 +38,10 @@ class PfrResult:
     examined: int
 
 
-def _density_ratio(target: FinitePmf, proposal: FinitePmf) -> np.ndarray:
-    if len(target) != len(proposal):
+def _density_ratio(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """p / q, 0 where q is 0: target rows p, one proposal row q or one per target."""
+    if p.shape[-1] != q.shape[-1]:
         raise ValueError("target and proposal need a common alphabet")
-    p, q = target.probs, proposal.probs
     if np.any((p > 0) & (q == 0)):
         raise AbsoluteContinuityViolated("target has mass where proposal is zero")
     with np.errstate(over="ignore"):
@@ -55,7 +55,7 @@ def _density_ratio(target: FinitePmf, proposal: FinitePmf) -> np.ndarray:
 @lru_cache(maxsize=512)
 def _ratio_rows(targets: tuple, proposal: FinitePmf):
     """Density ratios of the targets against one proposal, a row each; row maxima."""
-    f = np.array([_density_ratio(t, proposal) for t in targets])
+    f = _density_ratio(np.array([t.probs for t in targets]), proposal.probs)
     f_max = f.max(axis=1)
     f.flags.writeable = f_max.flags.writeable = False
     return f, f_max
@@ -119,7 +119,7 @@ def pfr_scan_rows(fy: np.ndarray, times: np.ndarray, stop_scale: np.ndarray,
 def geometric_parameter_exact(target: FinitePmf, proposal: FinitePmf,
                               y: SymbolId) -> float:
     """Exact conditional-geometric parameter of K given the selected mark y."""
-    f = _density_ratio(target, proposal)
+    f = _density_ratio(target.probs, proposal.probs)
     if f[y] <= 0.0:
         raise ValueError(f"target({y}) must be positive")
     return 1.0 / float(np.dot(proposal.probs, np.maximum(f[y], f)))
@@ -132,7 +132,7 @@ def dominance_parameter(target: FinitePmf, proposal: FinitePmf,
     First-order dominates the exact conditional law of K, since
     E[max{f(y), f(Y')}] <= f(y) + 1.
     """
-    f = _density_ratio(target, proposal)
+    f = _density_ratio(target.probs, proposal.probs)
     if f[y] <= 0.0:
         raise ValueError(f"target({y}) must be positive")
     return 1.0 / (float(f[y]) + 1.0)

@@ -325,9 +325,3 @@ def sample_pmf(p: FinitePmf, rng_state: RngState) -> SymbolId:
     """One draw from p; deterministic given the stream position."""
     u = float(rng_state.uniforms(1)[0])
     return int(np.searchsorted(p.cumulative(), u, side="right"))
-
-
-def sample_pmf_keys(p: FinitePmf, keys) -> np.ndarray:
-    """sample_pmf(p, RngState(key)) on a fresh stream, for each key."""
-    u = unit_interval(key_words(keys, 0, 1)[:, 0])
-    return np.searchsorted(p.cumulative(), u, side="right")

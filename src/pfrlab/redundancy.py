@@ -41,10 +41,10 @@ from functools import lru_cache
 import numpy as np
 
 from .bitcodes import delta_code_length, plain_code_length
-from .codebook import scan_rounds, span_keys, stream_keys
+from .codebook import nth_marks, scan_rounds, span_keys, stream_keys
 from .errors import UnsupportedEta
 from .pfr import _ratio_rows, pfr_scan_rows
-from .prob import FinitePmf, Seed, entropy, information_density_table, sample_pmf_keys
+from .prob import FinitePmf, Seed, entropy, information_density_table
 from .rd import RdSolution, tilted_information
 
 # trials per span of the sweep's selections and CSV batch, and at most per
@@ -115,7 +115,8 @@ def trial_chunks(source: FinitePmf, seed: Seed, n: int, width: int):
     draws, which do not depend on width."""
     for span in chunk_spans(n, width):
         keys = span_keys(seed, span, "source", ("draw",))[0]
-        yield span, sample_pmf_keys(source, keys)
+        yield span, nth_marks(keys, np.ones(len(span), dtype=np.int64),
+                              source.cumulative())
 
 
 def select_span(keys, targets, xs, proposal: FinitePmf):

@@ -376,6 +376,14 @@ class TestExitCodes:
         assert main(["verify-pfr", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "pfr.proposal" in capsys.readouterr().err
 
+    def test_proposal_on_another_alphabet_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "trials": 5, "seed": SEED_HEX,
+            "pfr": {"target": ["0.5", "0.5"], "proposal": ["0.2", "0.3", "0.5"]},
+        })
+        assert main(["verify-pfr", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "common alphabet" in capsys.readouterr().err
+
     def test_proposal_overflowing_the_ratio_exit_2(self, tmp_path, capsys):
         # 0.5 / 1e-320 overflows to +inf, so no scan could ever stop
         cfg = write_config(tmp_path, {
@@ -469,6 +477,22 @@ MUTATIONS = (DROP, None, True, "x", -1, -0.5, 1e308, RAGGED)
 # the model used to pass validation and raise a ValueError in the run
 TINY_U_ROW = ((("gray_wyner", "u_kernel", 3), ["1", 1e-308]),)
 
+HALF = ["0.5", "0.5"]
+# valid gray_wyner blocks whose selection tables cannot be built: (a) p_u(0)
+# underflows to 0 under a u-target that puts mass there, (b) a u-target's
+# ratio 1 / 1e-320 overflows, (c) a y1-target's ratio 1 / p(y1 | u) overflows
+UNBUILDABLE_GW = {
+    "u-mass": ((("gray_wyner",), {
+        "joint_source": [["1e-200", "1"]], "u_kernel": [["1e-200", "1"], ["0", "1"]],
+        "y1_kernel": [HALF] * 2, "y2_kernel": [HALF] * 4}),),
+    "u-ratio": ((("gray_wyner",), {
+        "joint_source": [["1e-320", "1"]], "u_kernel": [["1", "0"], ["0", "1"]],
+        "y1_kernel": [HALF] * 2, "y2_kernel": [HALF] * 4}),),
+    "y-ratio": ((("gray_wyner",), {
+        "joint_source": [["1e-320"], ["1"]], "u_kernel": [["1"], ["1"]],
+        "y1_kernel": [["1", "0"], ["0", "1"]], "y2_kernel": [HALF]}),),
+}
+
 
 def json_paths(node, prefix=()):
     """The path to every dict field and list entry of a JSON tree."""
@@ -525,6 +549,9 @@ class TestExitCodeFuzz:
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(case=demo_mutations())
     @example(case=("gw_common_bit.json", 50, TINY_U_ROW))
+    @example(case=("gw_common_bit.json", 50, UNBUILDABLE_GW["u-mass"]))
+    @example(case=("gw_common_bit.json", 50, UNBUILDABLE_GW["u-ratio"]))
+    @example(case=("gw_common_bit.json", 50, UNBUILDABLE_GW["y-ratio"]))
     def test_every_exit_is_documented(self, case):
         assert run_mutated(*case) in {0, 1, 2, 3, 4}
 
@@ -545,3 +572,18 @@ class TestExitCodeFuzz:
     def test_unresortable_gw_model_exit_2(self, capsys):
         assert run_mutated("gw_common_bit.json", 50, TINY_U_ROW) == 2
         assert "'gray_wyner'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edits", UNBUILDABLE_GW.values(), ids=UNBUILDABLE_GW)
+    def test_unbuildable_selection_tables_exit_2(self, edits, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_mutated("gw_common_bit.json", 50, edits) == 2
+        assert "'gray_wyner'" in capsys.readouterr().err
+
+    def test_unreleased_mark_scale_exits_without_warnings(self):
+        # iota(0; 1) = log2(1e-320 / 0.5) < -1024 on side 1: its scale 2^-iota
+        # overflows to inf, the intended scale of a mark that is never released
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_mutated("gw_common_bit.json", 200, (
+                (("gray_wyner", "y1_kernel", 0), ["1", 1e-320]),)) == 0

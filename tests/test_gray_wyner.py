@@ -13,6 +13,7 @@ from pfrlab import (FinitePmf, GwModel, Kernel, ResortedStream, Seed,
 from pfrlab import gray_wyner, redundancy
 from pfrlab.codebook import stream_keys
 from pfrlab.gray_wyner import GW_CSV_HEADER, gw_decode_chunk
+from pfrlab.pfr import _density_ratio
 from pfrlab.redundancy import chunk_spans
 from conftest import (PROPERTY, assert_same_table, conditional_triple_law, group_rows,
                       iota_reference, patch_first_words, record_replays, resort_tables,
@@ -407,6 +408,25 @@ class TestLawTables:
                                       iota_reference(side.p_y_given_u, side.p_y.probs))
                 scale, r = zip(*(resort_tables(side.p_y, row) for row in side.iota))
                 assert np.array_equal(side.scale, scale) and np.array_equal(side.r, r)
+
+    @PROPERTY
+    @given(model_seed=st.integers(min_value=0, max_value=2**32),
+           dims=st.tuples(*[st.integers(min_value=1, max_value=3)] * 3,
+                          *[st.integers(min_value=1, max_value=6)] * 2),
+           dead_u=st.integers(min_value=0, max_value=5))
+    def test_selection_ratios_come_from_density_ratio(self, model_seed, dims, dead_u):
+        # a drawable (x, u) row is _density_ratio of its target against p(y | u),
+        # bit for bit; a row of probability 0 is never read and holds zeros
+        for model in (random_model(model_seed), sparse_model(model_seed, *dims, dead_u)):
+            for side in model.sides:
+                for (x, u), w in np.ndenumerate(side.p_x_u):
+                    want = (_density_ratio(side.target(x, u).probs,
+                                           side.cond_pmfs[u].probs) if w > 0
+                            else np.zeros(side.p_y.probs.size))
+                    assert np.array_equal(side.f[x * model.nu + u], want)
+            for row, w, target in zip(model.u_kernel.pmfs, model.source_pmf.probs,
+                                      model.u_targets):
+                assert target is (row if w > 0 else model.p_u)
 
     def test_rows_are_the_kernels_pmfs(self):
         m = sparse_model(11, 3, 3, 3, 5, 4, dead_u=1)

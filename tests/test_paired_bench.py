@@ -97,3 +97,16 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
     assert summary(split, [100.0] * 10, bound=0.1)["verdict"] == "unresolved"
     assert summary(split, [111.0] * 10, bound=0.1)["verdict"] == "within bound"
     assert summary(split, [89.0] * 10, "lower", 0.1)["verdict"] == "within bound"
+
+
+def test_operations_sum_each_side_and_give_the_failed_share():
+    runs = [{"pair": 0, "side": "parent", "attempted": 40, "failed": 0},
+            {"pair": 0, "side": "change", "attempted": 50, "failed": 1},
+            {"pair": 1, "side": "change", "attempted": 30, "failed": 3},
+            {"pair": 1, "side": "parent", "attempted": 60, "failed": 0},
+            # a run that wrote no result line counts as nothing attempted
+            {"pair": 2, "side": "parent", "attempted": 0, "failed": 0}]
+    out = paired_bench.operations(runs)
+    assert out["parent"] == {"attempted": 100, "failed": 0, "failed_frac": 0.0}
+    assert out["change"] == {"attempted": 80, "failed": 4, "failed_frac": 0.05}
+    assert paired_bench.operations([])["change"]["failed_frac"] == 0.0

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from pfrlab import (AbsoluteContinuityViolated, DistortionMatrix, FinitePmf,
                     GwModel, Kernel, Seed, entropy, kl_divergence,
                     mutual_information, sample_pmf)
-from pfrlab.prob import (RngState, _kdf, _kdf_many, information_density_table,
-                         sample_pmf_keys)
+from pfrlab.codebook import nth_marks
+from pfrlab.prob import RngState, _kdf, _kdf_many, information_density_table
 from conftest import (PROPERTY, UnsupportedOutput, binary_entropy,
                       expected_log_k_bound, information_density, iota_reference,
                       patch_first_words)
@@ -314,7 +314,7 @@ class TestSampling:
         # the batched sampler both CLI drivers draw their sources with
         p = pmf(*probs)
         keys = [hashlib.sha256(b"sample-pmf-keys:%d" % i).digest() for i in range(200)]
-        got = sample_pmf_keys(p, keys)
+        got = nth_marks(keys, np.ones(len(keys), dtype=np.int64), p.cumulative())
         want = [sample_pmf(p, RngState(key)) for key in keys]
         assert got.tolist() == want
         assert np.all(p.probs[got] > 0.0)
@@ -327,7 +327,7 @@ class TestSampling:
         key = Seed.from_int(4).stream("draw")._key
         patch_first_words(monkeypatch, {key + bytes(8): word})
         assert sample_pmf(p, RngState(key)) == 2
-        assert sample_pmf_keys(p, [key]).tolist() == [2]
+        assert nth_marks([key], np.ones(1, dtype=np.int64), p.cumulative()).tolist() == [2]
 
 
 class TestKeyDerivation:

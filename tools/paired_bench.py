@@ -26,6 +26,9 @@ BENCHMARK.json gives) and a verdict:
 * ``within bound``: neither, and the spread is narrow enough to tell;
 * ``no gain``: neither a gain nor a regression, for a metric without a bound.
 
+Per workload it also holds each side's operations attempted and failed,
+summed over its runs, and the failed share, which must not grow.
+
 The tool exits 1 when a run reports failed processes, after writing the file.
 """
 
@@ -132,6 +135,18 @@ def summarize(runs: list, better: dict, bounds=None) -> dict:
     return out
 
 
+def operations(runs: list) -> dict:
+    """Per side: the operations its runs attempted and failed, and the failed share."""
+    out = {}
+    for side in SIDES:
+        mine = [run for run in runs if run["side"] == side]
+        attempted = sum(run["attempted"] for run in mine)
+        failed = sum(run["failed"] for run in mine)
+        out[side] = {"attempted": attempted, "failed": failed,
+                     "failed_frac": failed / attempted if attempted else 0.0}
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
@@ -178,6 +193,7 @@ def main(argv=None) -> int:
                           + json.dumps(metrics), flush=True)
             out["workloads"][workload] = {"seeds": seeds,
                                           "summary": summarize(runs, better, bounds),
+                                          "operations": operations(runs),
                                           "runs": runs}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")

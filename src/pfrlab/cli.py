@@ -32,7 +32,7 @@ from .pfr import (_density_ratio, dominance_parameter, geometric_parameter_exact
                   pfr_select)
 from .prob import DistortionMatrix, FinitePmf, Kernel, Seed, kl_divergence
 from .rd import ba_fixed_slope, solve_at_distortion
-from .redundancy import (_SPAN, CODE_KINDS, ETA_KINDS, TailEstimate, _mean_se,
+from .redundancy import (CODE_KINDS, ETA_KINDS, TailEstimate, _mean_se,
                          bound_rhs, chunk_spans, records_to_csv, select_span,
                          trial_tables)
 
@@ -274,7 +274,7 @@ def cmd_verify_pfr(cfg: ExperimentConfig, out_dir: str) -> int:
     # the batched engine; the replay checks below rerun trials with pfr_select
     parts = [select_span(stream_keys(seed, span, "codebook"), [target],
                          np.zeros(len(span), dtype=np.int64), proposal)
-             for span in chunk_spans(n, _SPAN)]
+             for span in chunk_spans(n)]
     ks, ys = (np.concatenate(col) for col in zip(*parts))
     m = len(target)
     checks = []

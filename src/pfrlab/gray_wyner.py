@@ -19,10 +19,10 @@ in re-sorted order, both on codebook.scan_rounds, which replays a stream
 whose drawn gaps hold a zero.  It then decodes the chunk with the same stream
 keys, as an independent replay with its own rounds and stop rule, and raises
 RoundTripMismatch at the first trial whose decode differs.  A chunk holds
-_SPAN trials, or fewer where they would pass codebook.MAX_POINTS points at
-the model's longest expected private scan (GwModel.chunk_width).  The
-gray-wyner command also replays its first 32 trials through gw_encode and
-gw_decode as a check."""
+the sweep's span of trials (redundancy.trial_chunks); GwSide.scan_span runs
+a chunk's private scans in slices whose expected scans add up to at most
+codebook.MAX_POINTS points.  The gray-wyner command also replays its first
+32 trials through gw_encode and gw_decode as a check."""
 
 import heapq
 import math
@@ -39,7 +39,7 @@ from .errors import RoundTripMismatch, UnsupportedPoint
 from .pfr import _density_ratio, _ratio_rows, pfr_scan_rows, pfr_select
 from .prob import (FinitePmf, Kernel, Seed, SymbolId, _frozen_array,
                    information_density_table, mutual_information, weighted_kl)
-from .redundancy import _SPAN, _per_k, _write_table, select_span, trial_chunks
+from .redundancy import _per_k, _write_table, select_span, trial_chunks
 
 GW_CSV_HEADER = "trial,x1,x2,u,y1,y2,k0,k1,k2,len0,len1,len2"
 
@@ -124,15 +124,6 @@ class GwModel:
         return weighted_kl(side.p_x_u.T.ravel(),
                            [side.target(x, u) for u in range(side.nu) for x in xs],
                            [q for q in side.cond_pmfs for _ in xs])
-
-    @cached_property
-    def chunk_width(self) -> int:
-        """Trials per chunk of gw_run_trials: _SPAN, or fewer where they times the
-        longest expected private scan would pass MAX_POINTS points.  That scan
-        is the max of r[u] f_max over the drawable (x, u) rows of both sides."""
-        scan = max((s.r * s.f_max.reshape(-1, self.nu))[s.p_x_u > 0].max()
-                   for s in self.sides)
-        return int(max(1, min(_SPAN, MAX_POINTS // scan)))
 
 
 @dataclass(frozen=True)
@@ -238,15 +229,19 @@ class GwSide:
         order, tau = t * scale[u][mark] (inf: never released).  Encoding runs
         pfr_scan_rows over them until the raw frontier reaches r * f_max * best;
         decoding until frontier / r reaches tau of point ks[i], as the heap does.
+        A row keeps its drawn points until it is done, so the rows run in
+        consecutive slices whose expected scans (r * f_max, or r * ks), each
+        clipped at MAX_POINTS, add up to at most MAX_POINTS.
         """
-        r = self.r[us]
-        if ks is None:
-            rows = xs * self.nu + us
-            bound = r * self.f_max[rows]
+        r, rows = self.r[us], xs * self.nu + us if ks is None else None
+        scans = r * (self.f_max[rows] if ks is None else ks)
+        # ends[i]: the sum of the clipped expected scans of rows 0 .. i - 1
+        ends = np.cumsum(np.r_[0.0, np.minimum(scans, MAX_POINTS)])
         k, y = np.zeros((2, len(us)), dtype=np.int64)
-        drawn = []
+        lo = 0
 
         def step(live, start, times, marks):
+            live = live + lo
             new = times * self.scale[us[live, None], marks], marks
             if drawn:
                 at = np.searchsorted(drawn[0], live)
@@ -258,15 +253,19 @@ class GwSide:
                 _, col, best = pfr_scan_rows(self.f[rows[live, None], marks], tau,
                                              self.f_max[rows[live]],
                                              np.full(live.size, math.inf))
-                done = frontier >= bound[live] * best
+                done = frontier >= scans[live] * best
             else:
                 col = np.minimum(ks[live], tau.shape[1]) - 1
                 done = (ks[live] <= tau.shape[1]) & (tau[at, col] <= frontier / r[live])
             k[live], y[live] = col + 1, marks[at, col]
             return ~done
 
-        scan = bound.max() if ks is None else np.mean(r * ks)
-        scan_rounds(keys, self.p_y, float(scan), step)
+        while lo < len(us):
+            hi = max(lo + 1, np.searchsorted(ends, ends[lo] + MAX_POINTS, "right") - 1)
+            part, drawn = scans[lo:hi], []
+            scan_rounds([kk[lo:hi] for kk in keys], self.p_y,
+                        float(part.max() if ks is None else part.mean()), step)
+            lo = hi
         return k, y
 
 
@@ -314,7 +313,7 @@ def gw_run_trials(model: GwModel, n: int, seed: Seed) -> dict:
     another (u, y1, y2).
     Returns the trial table, a numpy column per field of GW_CSV_HEADER."""
     parts = []
-    for span, pairs in trial_chunks(model.source_pmf, seed, n, model.chunk_width):
+    for span, pairs in trial_chunks(model.source_pmf, seed, n):
         keys = stream_keys(seed, span, "gw", "gw-u", "gw-y1", "gw-y2")
         k0, u = select_span(keys[:2], model.u_targets, pairs, model.p_u)
         x1, x2 = np.divmod(pairs, model.n2)

@@ -27,11 +27,12 @@ codebook.scan_rounds draws the next points of every unfinished scan and
 applies the stop rule to all of them with pfr_scan_rows.  The results equal
 those of one pfr_select per trial, bit for bit, whatever the span and round
 sizes; scan_rounds itself replays a stream whose drawn gaps hold a zero.
-The sweep selects over spans of _SPAN = 1024 trials, where scan_rounds
-sizes rounds of one 8-point time group, or one 4-point SHA-256 block at
-f_max <= 3, so each scan draws just the groups or blocks its stop rule
-examines.  Every table a solution needs, for the trials and for the bound
-sums, comes from one cached build (:func:`_tables`).
+Every trial engine (the sweep, verify-pfr and the Gray-Wyner trials) works
+on spans of _SPAN = 1024 trials; over the sweep's, scan_rounds sizes rounds
+of one 8-point time group, or one 4-point SHA-256 block at f_max <= 3, so
+each scan draws just the groups or blocks its stop rule examines.  Every
+table a solution needs, for the trials and for the bound sums, comes from
+one cached build (:func:`_tables`).
 """
 
 import math
@@ -47,8 +48,8 @@ from .pfr import _ratio_rows, pfr_scan_rows
 from .prob import FinitePmf, Seed, entropy, information_density_table
 from .rd import RdSolution, tilted_information
 
-# trials per span of the sweep's selections and CSV batch, and at most per
-# Gray-Wyner chunk; it bounds their working arrays whatever n is
+# trials per span of every trial engine and CSV batch; it bounds their
+# working arrays whatever n is
 _SPAN = 1024
 
 ETA_KINDS = ("PRR", "PSR", "PSDR")
@@ -103,17 +104,17 @@ def _tables(sol: RdSolution):
     return iota, j_x, j_xd, (w[mask], iota[mask], np.exp2(iota[mask]) + 1.0, etas)
 
 
-def chunk_spans(n: int, width: int):
-    """The spans of range(n) of width trials each (the last may be shorter), in order."""
+def chunk_spans(n: int):
+    """The spans of range(n) of _SPAN trials each (the last may be shorter), in order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return (range(c, min(c + width, n)) for c in range(0, n, width))
+    return (range(c, min(c + _SPAN, n)) for c in range(0, n, _SPAN))
 
 
-def trial_chunks(source: FinitePmf, seed: Seed, n: int, width: int):
-    """(span, xs) per span of chunk_spans(n, width); xs are the trials' source
-    draws, which do not depend on width."""
-    for span in chunk_spans(n, width):
+def trial_chunks(source: FinitePmf, seed: Seed, n: int):
+    """(span, xs) per span of chunk_spans(n); xs are the trials' source draws,
+    which do not depend on the span."""
+    for span in chunk_spans(n):
         keys = span_keys(seed, span, "source", ("draw",))[0]
         yield span, nth_marks(keys, np.ones(len(span), dtype=np.int64),
                               source.cumulative())
@@ -159,7 +160,7 @@ def trial_tables(sol: RdSolution, n: int, seed: Seed):
     iota, j_x, j_xd, _ = _tables(sol)
     targets, q, rate, d = (sol.kernel.pmfs, sol.output_marginal, sol.rate,
                            sol.distortion_matrix.d)
-    for span, x in trial_chunks(sol.source, seed, n, _SPAN):
+    for span, x in trial_chunks(sol.source, seed, n):
         k, y = select_span(stream_keys(seed, span, "codebook"), targets, x, q)
         # math.log2, not np.log2: that is 1 ulp off at k = 1621 and would change the CSV
         log_k, len_plain, len_delta = _per_k(k, math.log2, plain_code_length,

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from pfrlab import (DistortionMatrix, FinitePmf, Kernel, PfrlabError, codebook, prob,
-                    solve_at_distortion)
+from pfrlab import (DistortionMatrix, FinitePmf, Kernel, PfrlabError, codebook,
+                    gray_wyner, prob, solve_at_distortion)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -61,6 +61,20 @@ def record_replays(monkeypatch):
     monkeypatch.setattr(codebook, "CodebookStream", Recorded)
     return built
 
+
+def record_slices(monkeypatch, run=False):
+    """A list that gets (rows, scan) for each gray_wyner.scan_rounds call from
+    now on: one per slice of GwSide.scan_span.  Unless run, the call draws
+    nothing, so scan_span returns at once (with k and y left 0)."""
+    calls, scan_rounds = [], gray_wyner.scan_rounds
+
+    def recorded(keys, law, scan, step):
+        calls.append((len(keys[0]), scan))
+        if run:
+            scan_rounds(keys, law, scan, step)
+
+    monkeypatch.setattr(gray_wyner, "scan_rounds", recorded)
+    return calls
 
 def uniform_hamming(m):
     """The uniform m-ary source and the m-ary Hamming distortion."""

@@ -493,6 +493,13 @@ UNBUILDABLE_GW = {
         "y1_kernel": [["1", "0"], ["0", "1"]], "y2_kernel": [HALF]}),),
 }
 
+# x1 = 1 and 2 have probability 3e-309, and u = 1 only follows them: decoder
+# 1's r[1] f_max at x1 = 2 overflows to inf, on a row no trial draws
+OVERFLOW_GW = ((("gray_wyner",), {
+    "joint_source": [["1"], ["3e-309"], ["3e-309"]],
+    "u_kernel": [["1", "0"], ["0", "1"], ["0", "1"]],
+    "y1_kernel": [["1", "0"]] * 5 + [["0", "1"]], "y2_kernel": [["1"], ["1"]]}),)
+
 
 def json_paths(node, prefix=()):
     """The path to every dict field and list entry of a JSON tree."""
@@ -552,6 +559,7 @@ class TestExitCodeFuzz:
     @example(case=("gw_common_bit.json", 50, UNBUILDABLE_GW["u-mass"]))
     @example(case=("gw_common_bit.json", 50, UNBUILDABLE_GW["u-ratio"]))
     @example(case=("gw_common_bit.json", 50, UNBUILDABLE_GW["y-ratio"]))
+    @example(case=("gw_common_bit.json", 50, OVERFLOW_GW))
     def test_every_exit_is_documented(self, case):
         assert run_mutated(*case) in {0, 1, 2, 3, 4}
 
@@ -579,6 +587,11 @@ class TestExitCodeFuzz:
             warnings.simplefilter("error")
             assert run_mutated("gw_common_bit.json", 50, edits) == 2
         assert "'gray_wyner'" in capsys.readouterr().err
+
+    def test_overflowing_scan_of_an_undrawn_row_exits_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_mutated("gw_common_bit.json", 200, OVERFLOW_GW) == 0
 
     def test_unreleased_mark_scale_exits_without_warnings(self):
         # iota(0; 1) = log2(1e-320 / 0.5) < -1024 on side 1: its scale 2^-iota

@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -10,14 +11,13 @@ from pfrlab import (FinitePmf, GwModel, Kernel, ResortedStream, Seed,
                     UnsupportedPoint, arrival_stream, derive_subseed, gw_decode,
                     gw_dominance_params, gw_encode, gw_run_trials, kl_divergence,
                     sample_pmf)
-from pfrlab import gray_wyner, redundancy
-from pfrlab.codebook import stream_keys
+from pfrlab import gray_wyner
+from pfrlab.codebook import MAX_POINTS, stream_keys
 from pfrlab.gray_wyner import GW_CSV_HEADER, gw_decode_chunk
 from pfrlab.pfr import _density_ratio
-from pfrlab.redundancy import chunk_spans
 from conftest import (PROPERTY, assert_same_table, conditional_triple_law, group_rows,
-                      iota_reference, patch_first_words, record_replays, resort_tables,
-                      rows)
+                      iota_reference, patch_first_words, record_replays, record_slices,
+                      resort_tables, rows)
 
 SEED = Seed.from_int(99)
 
@@ -280,10 +280,11 @@ def sparse_model(model_seed, n1, n2, nu, ny1, ny2, dead_u):
 def decode_chunks(model, seed, ks, width):
     """gw_decode_chunk over spans of width trials of the (n, 3) array ks, trial
     t at row t; the (u, y1, y2) rows, a row per trial."""
+    spans = (range(c, min(c + width, len(ks))) for c in range(0, len(ks), width))
     return np.concatenate([
         gw_decode_chunk(model, stream_keys(seed, span, "gw", "gw-u", "gw-y1", "gw-y2"),
                         ks[span.start:span.stop].T).T
-        for span in chunk_spans(len(ks), width)])
+        for span in spans])
 
 
 def assert_batched_equals_streaming(model, n, seed):
@@ -445,32 +446,90 @@ def long_scan_model(eps):
                    y2_kernel=Kernel(np.ones((1, 1))))
 
 
-def with_width(model, width):
-    """The model, with gw_run_trials' chunk width forced to width."""
-    model.__dict__["chunk_width"] = width
-    return model
+def assert_slices_fit(widths, scans, budget):
+    """widths cut the rows of scans into consecutive slices whose scans, each
+    clipped at budget, add up to at most budget, or that hold one row; and no
+    slice could also have taken the row after it."""
+    clipped = np.minimum(scans, budget)
+    assert sum(widths) == len(scans) and min(widths) >= 1
+    for lo, width in zip(np.cumsum([0] + widths[:-1]), widths):
+        total = clipped[lo:lo + width].sum()
+        assert width == 1 or total <= budget * (1 + 1e-12)
+        if lo + width < len(scans):
+            assert total + clipped[lo + width] > budget * (1 - 1e-12)
 
 
-class TestChunkWidth:
+class TestSliceBudget:
     @pytest.mark.parametrize("make, n", [
         (lambda: random_model(8), 300),
         (lambda: sparse_model(11, 3, 3, 3, 5, 4, dead_u=1), 200),
         (lambda: sparse_model(5, 2, 2, 2, 64, 64, dead_u=9), 150)],
         ids=["random", "sparse", "sparse-64"])
-    def test_tables_do_not_depend_on_the_width(self, make, n):
-        assert make().chunk_width == redundancy._SPAN
+    def test_tables_do_not_depend_on_the_budget(self, make, n, monkeypatch):
         want = gw_run_trials(make(), n, SEED)
-        for width in (1, 7, 128, 1024):
-            assert_same_table(gw_run_trials(with_width(make(), width), n, SEED), want)
-            ks = np.array(rows(want, "k0", "k1", "k2"))
+        ks = np.array(rows(want, "k0", "k1", "k2"))
+        # a budget of 1 runs every row alone, and 50 cuts each chunk into
+        # slices of several rows, at other rows when encoding than decoding
+        for budget, width in ((1, 1), (50, 7), (700, n)):
+            monkeypatch.setattr(gray_wyner, "MAX_POINTS", budget)
+            slices = record_slices(monkeypatch, run=True)
+            assert_same_table(gw_run_trials(make(), n, SEED), want)
+            widths = [w for w, _ in slices]
+            if budget == 1:
+                assert widths == [1] * (4 * n)
+            if budget == 50:
+                assert len(widths) > 4 and max(widths) > 1
             assert decode_chunks(make(), SEED, ks, width).tolist() == [
                 list(r) for r in rows(want, "u", "y1", "y2")]
+            monkeypatch.undo()
 
-    def test_long_private_scans_get_fewer_rows(self, monkeypatch):
-        # f_max = 512 at (x1, u) = (1, 0), and r = 1: 2^18 / 512 rows
-        model = long_scan_model(2.0 ** -9)
-        assert model.sides[0].f_max.max() == pytest.approx(512.0)
-        assert model.chunk_width == 512
+    def test_slices_keep_to_the_point_budget(self, monkeypatch):
+        # f_max = 512 at (x1, u) = (1, 0), about 1 at (0, 0), and r = 1
+        side = long_scan_model(2.0 ** -9).sides[0]
+        assert side.r.tolist() == [1.0] and side.f_max[1] == pytest.approx(512.0)
+        slices = record_slices(monkeypatch)
+        keys, us = ([b""] * 1024,) * 2, np.zeros(1024, dtype=np.int64)
+        side.scan_span(keys, us, xs=np.ones(1024, dtype=np.int64))
+        assert slices == [(512, 512.0)] * 2
+        rng = np.random.default_rng(25)
+        xs = (rng.random(1024) < 0.3).astype(np.int64)
+        slices.clear()
+        side.scan_span(keys, us, xs=xs)
+        widths = [w for w, _ in slices]
+        assert_slices_fit(widths, side.f_max[xs], MAX_POINTS)
+        ends = np.cumsum(widths)
+        assert [scan for _, scan in slices] == [
+            side.f_max[xs[e - w:e]].max() for w, e in zip(widths, ends)]
+        # decoding reads r * ks; a row past the budget runs alone
+        ks = rng.integers(1, 5000, 1024)
+        ks[100] = 10 ** 7
+        slices.clear()
+        side.scan_span(keys, us, ks=ks)
+        widths = [w for w, _ in slices]
+        assert_slices_fit(widths, ks.astype(float), MAX_POINTS)
+        assert (1, 1e7) in slices
+        assert [scan for _, scan in slices] == [
+            ks[e - w:e].mean() for w, e in zip(widths, np.cumsum(widths))]
+
+    def test_an_infinite_scan_runs_alone_without_warnings(self, monkeypatch):
+        side = long_scan_model(2.0 ** -9).sides[0]
+        side.r = np.array([math.inf])
+        slices = record_slices(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            side.scan_span(([b""] * 3,) * 2, np.zeros(3, dtype=np.int64),
+                           xs=np.array([0, 1, 0]))
+        assert slices == [(1, math.inf)] * 3
+
+    def test_an_unlikely_u_keeps_whole_chunks(self, monkeypatch):
+        # p(u = 1) = 6e-309, so r[1] is about 1.7e308: a chunk slices by the
+        # rows it holds, never by a row no trial draws
+        model = GwModel(joint_source=np.array([[0.5, 0.0], [0.0, 0.5]]),
+                        u_kernel=Kernel(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                                                  [1.0, 1.2e-308]])),
+                        y1_kernel=common_bit_model().y1_kernel,
+                        y2_kernel=common_bit_model().y2_kernel)
+        assert model.sides[0].r[1] > 1e308
         spans, keys = [], gray_wyner.stream_keys
 
         def counted(seed, trials, *labels):
@@ -479,9 +538,5 @@ class TestChunkWidth:
 
         monkeypatch.setattr(gray_wyner, "stream_keys", counted)
         table = gw_run_trials(model, 2000, SEED)
-        assert spans == [512, 512, 512, 464]
-        assert (table["x1"] == 1).sum() > 1
-        monkeypatch.undo()
-        assert_same_table(gw_run_trials(with_width(long_scan_model(2.0 ** -9), 1024),
-                                        2000, SEED), table)
-        assert common_bit_model().chunk_width == redundancy._SPAN
+        assert spans == [1024, 976]
+        assert (table["u"] == 0).all()

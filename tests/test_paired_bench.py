@@ -110,3 +110,15 @@ def test_operations_sum_each_side_and_give_the_failed_share():
     assert out["parent"] == {"attempted": 100, "failed": 0, "failed_frac": 0.0}
     assert out["change"] == {"attempted": 80, "failed": 4, "failed_frac": 0.05}
     assert paired_bench.operations([])["change"]["failed_frac"] == 0.0
+
+
+def test_source_lines_count_newlines_of_the_package_modules(tmp_path):
+    pkg = tmp_path / "src" / "pfrlab"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    # wc -l counts newlines: a last line without one is not counted
+    (pkg / "b.py").write_text("\n\nz = 3")
+    (pkg / "notes.txt").write_text("not\ncode\n")
+    (pkg / "sub").mkdir()
+    (pkg / "sub" / "c.py").write_text("w = 4\n")
+    assert paired_bench.source_lines(tmp_path) == 4

@@ -15,8 +15,8 @@ from pfrlab.cli import load_config
 from pfrlab.codebook import MAX_POINTS, _round_points, draw_points, stream_keys
 from pfrlab.redundancy import _SPAN, select_span
 from conftest import (PROPERTY, assert_same_table, binary_entropy, expected_log_k_bound,
-                      patch_first_words, record_replays, substitute_sha256,
-                      uniform_hamming)
+                      patch_first_words, record_replays, record_slices,
+                      substitute_sha256, uniform_hamming)
 
 # a span narrower than the sweep's: more rounds per scan, spans cross it
 NARROW = 128
@@ -310,7 +310,7 @@ class TestBatchedScanProperty:
             Seed.from_int(seed), trials, targets, xs, proposal)
 
     @pytest.mark.parametrize("rows", [1, 100, NARROW, 1000, _SPAN, 2 ** 15 + 1])
-    def test_round_points_are_whole_groups_within_the_budget(self, rows):
+    def test_round_points_are_whole_groups_within_the_budget(self, rows, monkeypatch):
         sizes = [_round_points(f_max, rows)
                  for f_max in (0.0, 1.0, 32.0, 5e3, 1e6, 1e12, 1e300, math.inf)]
         # one 4-point block while 2 sqrt(f_max + 1) <= 4, whole groups after
@@ -322,17 +322,23 @@ class TestBatchedScanProperty:
         # past f_max = 3
         assert max(sizes) * rows <= max(MAX_POINTS, 8 * rows)
         assert _round_points(32.0, rows) == 8
-        # a Gray-Wyner chunk's rows times its longest expected scan, here
-        # about rows + 1 points on decoder 1, stay within the same budget
+        # a Gray-Wyner slice's expected scans, here about rows + 1 points
+        # each on decoder 1, add up to within the same budget
         eps = 1.0 / (rows + 1.0)
         model = GwModel(joint_source=np.array([[1.0 - eps], [eps]]),
                         u_kernel=Kernel(np.ones((2, 1))), y1_kernel=Kernel(np.eye(2)),
                         y2_kernel=Kernel(np.ones((1, 1))))
-        scan = rows + 1.0
-        assert model.sides[0].f_max.max() == pytest.approx(scan)
-        width = model.chunk_width
+        side = model.sides[0]
+        scan = side.f_max[1]
+        assert side.r.tolist() == [1.0] and scan == pytest.approx(rows + 1.0)
+        slices = record_slices(monkeypatch)
+        side.scan_span(([b""] * _SPAN,) * 2, np.zeros(_SPAN, dtype=np.int64),
+                       xs=np.ones(_SPAN, dtype=np.int64))
+        width = slices[0][0]
         assert 1 <= width <= _SPAN and width * scan <= MAX_POINTS
         assert width == _SPAN or (width + 1) * scan > MAX_POINTS
+        assert slices == [(width, scan)] * (_SPAN // width) + [
+            (_SPAN % width, scan)] * (_SPAN % width > 0)
 
     @pytest.mark.parametrize("points", [4, 8, 24, 64])
     def test_round_size_is_pure_policy(self, monkeypatch, points, default_tables):

@@ -27,7 +27,9 @@ BENCHMARK.json gives) and a verdict:
 * ``no gain``: neither a gain nor a regression, for a metric without a bound.
 
 Per workload it also holds each side's operations attempted and failed,
-summed over its runs, and the failed share, which must not grow.
+summed over its runs, and the failed share, which must not grow.  Per side
+it holds ``source_lines``, the lines of the exported ``src/pfrlab/*.py`` as
+``wc -l`` counts them.
 
 The tool exits 1 when a run reports failed processes, after writing the file.
 """
@@ -64,6 +66,12 @@ def export(rev: str, into: Path) -> str:
     into.mkdir(parents=True)
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
     return commit
+
+
+def source_lines(checkout: Path) -> int:
+    """The newlines in checkout's src/pfrlab/*.py, the total wc -l prints."""
+    return sum(p.read_bytes().count(b"\n")
+               for p in (checkout / "src" / "pfrlab").glob("*.py"))
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float,
@@ -170,13 +178,14 @@ def main(argv=None) -> int:
                sys.argv[1:] if argv is None else argv),
            "run_command": "python3 perfbench/run.py --workload W --seed S "
                           f"--seconds {args.seconds:g} --trace {args.trace}",
-           "workloads": {}}
+           "source_lines": {}, "workloads": {}}
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
         checkouts = {}
         for side in SIDES:
             checkouts[side] = Path(tmp) / side
             out[f"{side}_commit"] = export(getattr(args, side), checkouts[side])
+            out["source_lines"][side] = source_lines(checkouts[side])
         for workload in args.workload:
             runs = []
             for pair, seed in enumerate(seeds):
